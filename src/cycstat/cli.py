@@ -24,6 +24,7 @@ from .errors import (
 )
 from .oracle import class_moment, partitions
 from .poly import to_json_dict, to_text
+from .translates import class_value, type_sums
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -59,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limit", help="scaled asymptotic mean or variance")
     common(p)
-    group = p.add_mutually_exclusive_group()
+    group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--mean", action="store_true")
     group.add_argument("--variance", action="store_true")
 
@@ -166,14 +167,17 @@ def _cmd_limit(args, stat) -> int:
 def _cmd_verify(args, stat) -> int:
     if args.nmax > 8:
         raise ResourceLimitError("--nmax is capped at 8")
+    if args.nmax < 1:
+        raise MalformedInputError("--nmax must be >= 1")
     if args.d < 1:
         raise MalformedInputError("-d must be >= 1")
+    sums = {d: type_sums(stat**d) for d in range(1, args.d + 1)}
     failures = 0
     cells = []
     for n in range(1, args.nmax + 1):
         for lam in partitions(n):
             for d in range(1, args.d + 1):
-                engine = stat.moment_at(lam, d, args.bell_cap)
+                engine = class_value(sums[d], lam, args.bell_cap)
                 oracle = class_moment(stat.evaluate, lam, d)
                 ok = engine == oracle
                 failures += 0 if ok else 1

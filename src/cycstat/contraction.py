@@ -10,7 +10,7 @@ returns its cycle-path type.
 
 from __future__ import annotations
 
-from .partial import CyclePathType, PartialPermutation, graph_components
+from .partial import CyclePathType, PartialPermutation, component_type
 from .setpartitions import SetPartition, UnionFind
 
 
@@ -53,10 +53,4 @@ def contract(p: PartialPermutation, rho: SetPartition) -> CyclePathType:
     for u, v in succ0.items():
         quotient_edges[uf.find(u)] = uf.find(v)
     vertices = {uf.find(v) for v in range(1, m + 1)}
-    mu, nu = [], []
-    for kind, verts in graph_components(quotient_edges, vertices):
-        if kind == "cycle":
-            mu.append(len(verts))
-        else:
-            nu.append(len(verts) - 1)
-    return CyclePathType(tuple(mu), tuple(nu))
+    return component_type(quotient_edges, vertices)

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import permutations as iter_permutations
 from math import factorial
 
-from .errors import ResourceLimitError
+from .errors import InternalConsistencyError, ResourceLimitError
 from .partial import PartialPermutation
 
 DEFAULT_N_CAP = 8
@@ -76,7 +76,11 @@ def class_table(n: int, cap: int = DEFAULT_N_CAP) -> dict[tuple[int, ...], list]
     for w in iter_permutations(range(1, n + 1)):
         table[cycle_type(w)].append(w)
     for lam, members in table.items():
-        assert len(members) == class_size(lam), (lam, len(members))
+        if len(members) != class_size(lam):
+            raise InternalConsistencyError(
+                f"class {lam} of S_{n} has {len(members)} members, "
+                f"but the class-size formula gives {class_size(lam)}"
+            )
     return table
 
 
@@ -109,12 +113,6 @@ def representative(lam) -> tuple[int, ...]:
 # -- compatible functions and injections -------------------------------
 
 
-def _ordered_components(p: PartialPermutation):
-    """Components as vertex lists where each later vertex is the successor
-    of the previous one (cycles close back to their first vertex)."""
-    return p.components()
-
-
 def _component_images(kind, verts, pi, injective_within=True):
     """All ways to map one component into the permutation pi's ground set,
     following pi along the edges; yields tuples aligned with verts."""
@@ -141,7 +139,7 @@ def compatible_function_count(p: PartialPermutation, lam, cap: int = DEFAULT_N_C
     _check_cap(n, cap)
     pi = representative(tuple(sorted((int(x) for x in lam), reverse=True)))
     total = 1
-    for kind, verts in _ordered_components(p):
+    for kind, verts in p.components():
         total *= len(_component_images(kind, verts, pi))
     return total
 
@@ -153,7 +151,7 @@ def injection_count(p: PartialPermutation, lam, pi=None, cap: int = DEFAULT_N_CA
     _check_cap(n, cap)
     if pi is None:
         pi = representative(tuple(sorted((int(x) for x in lam), reverse=True)))
-    comps = _ordered_components(p)
+    comps = p.components()
     options = [_component_images(kind, verts, pi) for kind, verts in comps]
 
     def rec(idx: int, used: frozenset) -> int:

@@ -10,6 +10,7 @@ invariant under simultaneous relabeling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import MalformedInputError, SizeMismatchError
 
@@ -63,13 +64,7 @@ class PartialPermutation:
         return graph_components(self.edges(), set(self.support))
 
     def cycle_path_type(self) -> "CyclePathType":
-        mu, nu = [], []
-        for kind, verts in self.components():
-            if kind == "cycle":
-                mu.append(len(verts))
-            else:
-                nu.append(len(verts) - 1)
-        return CyclePathType(tuple(sorted(mu, reverse=True)), tuple(sorted(nu, reverse=True)))
+        return component_type(self.edges(), set(self.support))
 
     def canonicalize(self) -> tuple["PartialPermutation", tuple[int, ...]]:
         """Return (packed representative on [m], support) for m = |I union J|."""
@@ -162,6 +157,31 @@ def graph_components(edges: dict[int, int], vertices: set[int]) -> list[tuple[st
             w = edges[w]
         out.append(("cycle", walk))
     return out
+
+
+def component_type(edges: dict[int, int], vertices: set[int]) -> CyclePathType:
+    """Cycle-path type of a functional digraph with in/out degree <= 1:
+    cycle lengths and path edge-lengths of its components."""
+    mu, nu = [], []
+    for kind, verts in graph_components(edges, vertices):
+        if kind == "cycle":
+            mu.append(len(verts))
+        else:
+            nu.append(len(verts) - 1)
+    return CyclePathType(tuple(mu), tuple(nu))
+
+
+def covering_injections(m: int, l: int):
+    """Yield (a, b): increasing m- and l-tuples covering [r], for every r
+    from max(m, l) to m + l; these are the order-preserving injections of two
+    supports into their union [r]."""
+    for r in range(max(m, l), m + l + 1):
+        universe = range(1, r + 1)
+        for a in combinations(universe, m):
+            needed = set(universe) - set(a)
+            for b in combinations(universe, l):
+                if needed <= set(b):
+                    yield a, b
 
 
 def relabel(support: tuple[int, ...] | list[int], packed: PartialPermutation) -> PartialPermutation:

@@ -12,10 +12,9 @@ induces, which turns the count into a sum of constrained translates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import MalformedInputError
-from .partial import PartialPermutation
+from .partial import PartialPermutation, covering_injections
 from .poly import ONE, Poly, xvar
 from .translates import ConstrainedTranslate, RegularStatistic
 
@@ -75,39 +74,33 @@ def compile_bivincular(pattern: BivincularPattern) -> RegularStatistic:
             pattern.f.constant_value() * pattern.g.constant_value()
         )
     out: list[ConstrainedTranslate] = []
-    for m in range(k, 2 * k + 1):
-        universe = range(1, m + 1)
-        for U in combinations(universe, k):
-            needed = set(universe) - set(U)
-            for vset in combinations(universe, k):
-                if not needed <= set(vset):
-                    continue
-                # vset sorted ascending; value at position a has rank sigma[a]
-                V = tuple(vset[sigma[a] - 1] for a in range(k))
-                C: set[int] = set()
-                ok = True
-                for a in pattern.A:
-                    if U[a] != U[a - 1] + 1:
-                        ok = False
-                        break
-                    C.add(U[a - 1])
-                if ok:
-                    for b in pattern.B:
-                        if vset[b] != vset[b - 1] + 1:
-                            ok = False
-                            break
-                        C.add(vset[b - 1])
-                if not ok:
-                    continue
-                weight = pattern.f.substitute(
-                    {t: Poly.variable(U[t] - 1) for t in range(k)}
-                ) * pattern.g.substitute(
-                    {t: Poly.variable(V[t] - 1) for t in range(k)}
-                )
-                if weight.is_zero:
-                    continue
-                packed = PartialPermutation(U, V)
-                out.append(ConstrainedTranslate(packed, frozenset(C), weight))
+    for U, vset in covering_injections(k, k):
+        # vset sorted ascending; value at position a has rank sigma[a]
+        V = tuple(vset[sigma[a] - 1] for a in range(k))
+        C: set[int] = set()
+        ok = True
+        for a in pattern.A:
+            if U[a] != U[a - 1] + 1:
+                ok = False
+                break
+            C.add(U[a - 1])
+        if ok:
+            for b in pattern.B:
+                if vset[b] != vset[b - 1] + 1:
+                    ok = False
+                    break
+                C.add(vset[b - 1])
+        if not ok:
+            continue
+        weight = pattern.f.substitute(
+            {t: Poly.variable(U[t] - 1) for t in range(k)}
+        ) * pattern.g.substitute(
+            {t: Poly.variable(V[t] - 1) for t in range(k)}
+        )
+        if weight.is_zero:
+            continue
+        packed = PartialPermutation(U, V)
+        out.append(ConstrainedTranslate(packed, frozenset(C), weight))
     return RegularStatistic(tuple(out))
 
 

@@ -1,23 +1,28 @@
-"""Constrained translates and the algebra of regular statistics.
+"""Constrained translates, the algebra of regular statistics, and their moments.
 
 A constrained translate T^f_{(U,V),C} sums, over all C-adjacency-constrained
 m-subsets L of [n], the weight f(L) times the indicator that the permutation
 agrees with the relabeled partial permutation (L(U), L(V)).  Regular
 statistics are linear combinations of translates; they are closed under
-products, and their d-th class moments are exact rational expectations.
+products.
+
+Every moment reads one grouping of the expanded statistic, type_sums: the
+constrained sums S(n) of its translates added up per cycle-path type
+(mu, nu).  A translate's class expectation is S * f_{(mu,nu)} / (n)_m, and
+f and the support size m depend on the type alone; its uniform expectation
+is S / (n)_k for k pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import InternalConsistencyError, MalformedInputError
-from .expectation import RationalExpectation, ZERO_EXPECTATION
+from .expectation import RationalExpectation, ZERO_EXPECTATION, evaluation_point
 from .indicator import DEFAULT_BELL_CAP, indicator_moment
-from .partial import PartialPermutation
-from .poly import Poly, to_text, WEIGHT_VARS
+from .partial import CyclePathType, PartialPermutation, covering_injections
+from .poly import ZERO, Poly, falling_factorial_value, to_text, WEIGHT_VARS
 from .sums import constrained_subsets, constrained_sum
 
 
@@ -81,25 +86,6 @@ class ConstrainedTranslate:
             if all(pi[L[u - 1] - 1] == L[v - 1] for u, v in edges):
                 total += self.weight.evaluate(L)
         return total
-
-    def expectation(self, bell_cap: int = DEFAULT_BELL_CAP) -> RationalExpectation:
-        """E_lambda[T] symbolically: the full constrained weight sum times the
-        indicator polynomial, over (n)_m."""
-        S, _ = constrained_sum(self.weight, self.support_size, self.constraints)
-        f = indicator_moment(self.packed.cycle_path_type(), bell_cap).poly
-        return RationalExpectation(S * f, (self.support_size,)).normalized()
-
-    def expectation_at(self, lam, bell_cap: int = DEFAULT_BELL_CAP) -> Fraction:
-        """Exact E_lambda[T]; zero when the ground set is smaller than the
-        support (the subset sum is empty), where the symbolic ratio is 0/0."""
-        if sum(lam) < self.support_size:
-            return Fraction(0)
-        return self.expectation(bell_cap).evaluate_at(lam)
-
-    def uniform_expectation(self) -> RationalExpectation:
-        """E over all of S_n: each indicator has probability 1/(n)_k."""
-        S, _ = constrained_sum(self.weight, self.support_size, self.constraints)
-        return RationalExpectation(S, (self.size,)).normalized()
 
     def __str__(self) -> str:
         u = ",".join(map(str, self.packed.positions))
@@ -211,10 +197,8 @@ class RegularStatistic:
     # -- moments ------------------------------------------------------
 
     def expectation(self, bell_cap: int = DEFAULT_BELL_CAP) -> RationalExpectation:
-        out = ZERO_EXPECTATION
-        for t in self.translates:
-            out = out + t.expectation(bell_cap)
-        return out
+        """E_lambda of this statistic, symbolically."""
+        return class_expectation(type_sums(self), bell_cap)
 
     def moment(self, d: int, bell_cap: int = DEFAULT_BELL_CAP) -> RationalExpectation:
         """E_lambda[Psi^d] symbolically; certifies that (n)_{dq} times the
@@ -234,14 +218,10 @@ class RegularStatistic:
 
     def moment_at(self, lam, d: int = 1, bell_cap: int = DEFAULT_BELL_CAP) -> Fraction:
         """E_lambda[Psi^d] as an exact rational, valid for every n (small
-        ground sets included): evaluated translate by translate."""
+        ground sets included)."""
         if d < 1:
             raise ValueError("moments start at d = 1")
-        expansion = self**d
-        return sum(
-            (t.expectation_at(lam, bell_cap) for t in expansion.translates),
-            Fraction(0),
-        )
+        return class_value(type_sums(self**d), lam, bell_cap)
 
     def variance_at(self, lam, bell_cap: int = DEFAULT_BELL_CAP) -> Fraction:
         mean = self.moment_at(lam, 1, bell_cap)
@@ -251,10 +231,7 @@ class RegularStatistic:
         """E over all of S_n of Psi^d; a rational expectation in n only."""
         if d < 1:
             raise ValueError("moments start at d = 1")
-        expansion = self**d
-        out = ZERO_EXPECTATION
-        for t in expansion.translates:
-            out = out + t.uniform_expectation()
+        out = uniform_expectation(type_sums(self**d))
         cleared = out.clear_falling(d * self.shift)
         if any(any(e for e in exps[1:]) for exps in cleared.terms):
             raise InternalConsistencyError(
@@ -278,6 +255,58 @@ class RegularStatistic:
         return " + ".join(str(t) for t in self.translates)
 
 
+def type_sums(stat: RegularStatistic) -> dict[CyclePathType, Poly]:
+    """Group an expanded statistic by cycle-path type: the sum of the
+    constrained sums S(n) of its translates of each type."""
+    sums: dict[CyclePathType, Poly] = {}
+    for t in stat.translates:
+        S, _ = constrained_sum(t.weight, t.support_size, t.constraints)
+        key = t.packed.cycle_path_type()
+        sums[key] = sums.get(key, ZERO) + S
+    return sums
+
+
+def class_expectation(sums: dict[CyclePathType, Poly], bell_cap: int = DEFAULT_BELL_CAP) -> RationalExpectation:
+    """E_lambda symbolically: for each support size m, sum S * f over the
+    types and normalise over (n)_m once."""
+    by_support: dict[int, Poly] = {}
+    for t, S in sums.items():
+        m = t.support_size
+        by_support[m] = by_support.get(m, ZERO) + S * indicator_moment(t, bell_cap).poly
+    return _over_falling(by_support)
+
+
+def uniform_expectation(sums: dict[CyclePathType, Poly]) -> RationalExpectation:
+    """E over all of S_n: each indicator of k pairs has probability 1/(n)_k."""
+    by_size: dict[int, Poly] = {}
+    for t, S in sums.items():
+        by_size[t.size] = by_size.get(t.size, ZERO) + S
+    return _over_falling(by_size)
+
+
+def class_value(sums: dict[CyclePathType, Poly], lam, bell_cap: int = DEFAULT_BELL_CAP) -> Fraction:
+    """Exact E_lambda at the cycle type lam, for every n.  A type of support
+    m > n contributes 0, since [n] has no m-subsets (the symbolic ratio is
+    0/0 there), so its indicator polynomial is never computed."""
+    n = sum(lam)
+    point = evaluation_point(lam)
+    total = Fraction(0)
+    for t, S in sums.items():
+        m = t.support_size
+        if m <= n:
+            f = indicator_moment(t, bell_cap).poly
+            total += S.evaluate(point) * f.evaluate(point) / falling_factorial_value(n, m)
+    return total
+
+
+def _over_falling(nums: dict[int, Poly]) -> RationalExpectation:
+    """sum over a of nums[a] / (n)_a, each normalised once."""
+    out = ZERO_EXPECTATION
+    for a in sorted(nums):
+        out = out + RationalExpectation(nums[a], (a,)).normalized()
+    return out
+
+
 def translate_product(t1: ConstrainedTranslate, t2: ConstrainedTranslate) -> RegularStatistic:
     """Expand the pointwise product of two translates.
 
@@ -287,22 +316,15 @@ def translate_product(t1: ConstrainedTranslate, t2: ConstrainedTranslate) -> Reg
     edges are inconsistent, or whose adjacency constraints cannot be realized
     by increasing subsets, contribute nothing.
     """
-    m, l = t1.support_size, t2.support_size
     out: list[ConstrainedTranslate] = []
-    for r in range(max(m, l), m + l + 1):
-        universe = range(1, r + 1)
-        for a in combinations(universe, m):
-            bset_needed = set(universe) - set(a)
-            for b in combinations(universe, l):
-                if not bset_needed <= set(b):
-                    continue
-                merged = _merge_overlap(t1, t2, a, b, r)
-                if merged is not None:
-                    out.append(merged)
+    for a, b in covering_injections(t1.support_size, t2.support_size):
+        merged = _merge_overlap(t1, t2, a, b)
+        if merged is not None:
+            out.append(merged)
     return RegularStatistic(tuple(out))
 
 
-def _merge_overlap(t1, t2, a, b, r):
+def _merge_overlap(t1, t2, a, b):
     # adjacency constraints transfer only when the injection keeps the two
     # endpoints adjacent; otherwise an element sits strictly between two
     # consecutive integers, which is impossible

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from cycstat import indicator
 from cycstat.cli import main
 
 
@@ -21,6 +24,18 @@ class TestMoment:
         code, out, _ = run(capsys, "moment", "exc", "-d", "2", "--variance")
         assert code == 0
         assert "(n - m1 - 2*m2) / 12" in out
+
+    def test_descent_mean_text(self, capsys):
+        # the rendered denominator records where the sum is normalised
+        code, out, _ = run(capsys, "moment", "des", "-d", "1")
+        assert code == 0
+        assert out == (
+            "moment d=1: (6*n - 6*m1 - 17*n^2 + 11*n*m1 + 6*m1^2 - 12*m2"
+            " + 17*n^3 - 6*n^2*m1 - 11*n*m1^2 + 22*n*m2 - 7*n^4 + n^3*m1"
+            " + 6*n^2*m1^2 - 12*n^2*m2 + n^5 - n^3*m1^2 + 2*n^3*m2)"
+            " / ((n)_4 * 2)\n"
+            "graded degree 2 (bound 2)\n"
+        )
 
     def test_lambda_evaluation(self, capsys):
         code, out, _ = run(
@@ -60,6 +75,11 @@ class TestLimit:
         assert code == 0
         assert "V1(alpha) = 0" in out and "V2(alpha) = 0" in out
 
+    def test_mean_or_variance_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["limit", "exc"])
+        assert exc.value.code == 2
+
 
 class TestVerify:
     def test_descents_pass(self, capsys):
@@ -71,6 +91,23 @@ class TestVerify:
     def test_nmax_cap(self, capsys):
         code, _, err = run(capsys, "verify", "exc", "--nmax", "9")
         assert code == 3
+
+    def test_empty_grid_rejected(self, capsys):
+        for nmax in ("0", "-1"):
+            code, out, err = run(capsys, "verify", "exc", "--nmax", nmax)
+            assert code == 2
+            assert out == "" and "--nmax" in err
+
+    def test_support_beyond_ground_set_needs_no_indicator(self, capsys, monkeypatch):
+        # exc^3 has types of support up to 6, above the cap of 3; on classes
+        # with n <= 2 they contribute 0 and their indicators are never built.
+        # An empty cache, since a cached type is returned whatever the cap.
+        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        code, out, _ = run(
+            capsys, "verify", "exc", "--nmax", "2", "-d", "3", "--bell-cap", "3"
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "9/9 cells passed"
 
 
 class TestExpand:

@@ -5,7 +5,8 @@ from math import factorial
 
 import pytest
 
-from cycstat.errors import ResourceLimitError
+from cycstat import oracle
+from cycstat.errors import InternalConsistencyError, ResourceLimitError
 from cycstat.oracle import (
     bivincular_count,
     class_moment,
@@ -54,6 +55,13 @@ class TestClasses:
         for lam, members in table.items():
             assert len(members) == class_size(lam)
             assert all(cycle_type(w) == lam for w in members)
+
+    def test_class_size_mismatch_raises(self, monkeypatch):
+        # the self-check must survive python -O, so it cannot be an assert
+        monkeypatch.setattr(oracle, "class_size", lambda lam: class_size(lam) + 1)
+        class_table.cache_clear()
+        with pytest.raises(InternalConsistencyError):
+            class_table(3)
 
     def test_representative_has_right_type(self):
         for lam in partitions(6):

@@ -65,37 +65,42 @@ class TestEvaluate:
 
 
 class TestExpectation:
+    """Moments of one-translate statistics: each reads the grouped sums of a
+    single cycle-path type."""
+
     def test_excedance_mean(self):
-        assert str(EXC_T.expectation()) == "(n - m1) / 2"
+        assert str(RegularStatistic((EXC_T,)).moment(1)) == "(n - m1) / 2"
 
     def test_two_cycle_statistic_is_m2(self):
         t = ConstrainedTranslate(PartialPermutation((1, 2), (2, 1)), frozenset(), ONE)
-        e = t.expectation().normalized()
+        e = RegularStatistic((t,)).moment(1).normalized()
         assert e.num == mvar(2) and e.den == ()
 
     def test_expectation_at_matches_oracle(self):
         t = ConstrainedTranslate(
             PartialPermutation((1, 2), (2, 3)), frozenset({1}), xvar(2)
         )
+        s = RegularStatistic((t,))
         for n in range(1, 6):
             for lam in partitions(n):
-                assert t.expectation_at(lam) == class_moment(t.evaluate, lam, 1)
+                assert s.moment_at(lam) == class_moment(t.evaluate, lam, 1)
 
     def test_small_ground_set_is_zero(self):
         t = ConstrainedTranslate(PartialPermutation((1, 2), (2, 3)), frozenset(), ONE)
-        assert t.expectation_at((2,)) == 0
+        assert RegularStatistic((t,)).moment_at((2,)) == 0
 
     def test_uniform_expectation_matches_oracle(self):
         t = ConstrainedTranslate(
             PartialPermutation((1, 2), (2, 1)), frozenset({1}), xvar(1)
         )
+        uniform = RegularStatistic((t,)).uniform_moment(1)
         for n in range(2, 6):
             total = Fraction(0)
             count = 0
             for w in permutations(range(1, n + 1)):
                 total += t.evaluate(w)
                 count += 1
-            assert t.uniform_expectation().evaluate_at((1,) * n) == total / count
+            assert uniform.evaluate_at((1,) * n) == total / count
 
 
 class TestRegularStatistic:
