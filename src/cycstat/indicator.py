@@ -3,16 +3,28 @@
 For (I,J) of cycle-path type (mu, nu) with support size m, the number of
 injections of [m] into [n] compatible with a permutation of cycle type
 lambda equals a polynomial f_{(mu,nu)}(n, m_1, ..., m_k) of graded degree
-exactly k = |mu| + |nu|.  It is computed by Moebius inversion over the set
-partition lattice: classifying arbitrary edge-respecting functions by their
-coincidence partition, the injective ones are recovered as the alternating
-sum of the unrestricted counts of the contraction quotients.
+exactly k = |mu| + |nu|.
+
+The cycles factor out.  Each c-cycle of the pattern must land on a whole
+c-cycle of the permutation, in one of c rotations, and the paths then map
+into the remaining n - |mu| points, so with a_c the number of c-cycles in mu
+
+    f_{(mu,nu)}(n, m) = prod_c c^{a_c} (m_c)_{a_c} * f_{(0,nu)}(n - |mu|, m_c - a_c).
+
+The path factor f_{(0,nu)} is computed by Moebius inversion over the set
+partitions of the path vertices only: classifying arbitrary edge-respecting
+functions by their coincidence partition, the injective ones are recovered
+as the alternating sum of the unrestricted counts of the contraction
+quotients.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,27 +88,26 @@ class _MomentCache:
 
     def configure_disk(self, path: str | None) -> None:
         with self._lock:
+            loaded = {} if path is None else _read_disk(path)
             self._disk_path = path
-            if path is None:
-                return
-            try:
-                with open(path) as fh:
-                    raw = json.load(fh)
-            except (OSError, json.JSONDecodeError):
-                raw = {}
-            for key, poly_data in raw.items():
-                t = _type_from_key(key)
-                poly = from_json_dict(poly_data)
+            for t, poly in loaded.items():
                 self._data.setdefault(t, _make_result(t, poly))
-            if self._data:
+            if path is not None and self._data:
                 self._flush_locked()
 
     def get_or_compute(self, t: CyclePathType, bell_cap: int) -> IndicatorMomentResult:
+        # a pre-flight guard: a cached type is refused like a new one
+        m = t.support_size
+        if m > bell_cap:
+            raise ResourceLimitError(
+                f"support size {m} exceeds the Bell cap {bell_cap} "
+                f"(Bell({m}) = {bell_number(m)} set partitions)"
+            )
         with self._lock:
             hit = self._data.get(t)
             if hit is not None:
                 return hit
-            result = _compute(t, bell_cap)
+            result = _compute(t)
             self._data[t] = result
             if self._disk_path is not None:
                 self._flush_locked()
@@ -104,15 +115,49 @@ class _MomentCache:
 
     def _flush_locked(self) -> None:
         payload = {r.type.key: to_json_dict(r.poly) for r in self._data.values()}
+        # written aside and renamed over the cache, so a failed write leaves
+        # the previous file whole; the pid keeps processes sharing one cache
+        # out of each other's temporary file
+        tmp = f"{self._disk_path}.{os.getpid()}.tmp"
         try:
-            with open(self._disk_path, "w") as fh:
+            with open(tmp, "w") as fh:
                 json.dump(payload, fh)
+            os.replace(tmp, self._disk_path)
         except OSError:
             pass
+        finally:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
 
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
+
+
+def _read_disk(path: str) -> dict[CyclePathType, Poly]:
+    """The entries of a cache file; a missing or empty file is an empty
+    cache, anything but a JSON object of type-key -> polynomial is refused."""
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read()
+    except OSError:
+        return {}
+    if not text.strip():
+        return {}
+    try:
+        raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError("not a JSON object")
+        entries = {}
+        for key, poly_data in raw.items():
+            t = _type_from_key(key)
+            if t.key != key:
+                raise ValueError(f"bad type key {key!r}")
+            entries[t] = from_json_dict(poly_data)
+        return entries
+    except (ValueError, TypeError, KeyError, IndexError, AttributeError,
+            MalformedInputError) as exc:
+        raise MalformedInputError(f"cache file {path} is not a cycstat cache: {exc}") from None
 
 
 _CACHE = _MomentCache()
@@ -127,29 +172,44 @@ def indicator_moment(t: CyclePathType, bell_cap: int = DEFAULT_BELL_CAP) -> Indi
     return _CACHE.get_or_compute(t, bell_cap)
 
 
-def _compute(t: CyclePathType, bell_cap: int) -> IndicatorMomentResult:
-    m = t.support_size
-    if m > bell_cap:
-        raise ResourceLimitError(
-            f"support size {m} exceeds the Bell cap {bell_cap} "
-            f"(Bell({m}) = {bell_number(m)} set partitions)"
-        )
-    rep = t.representative()
-    poly = Poly()
-    # g(identity) = sum over rho of mu(0,rho) * F(rho), where F(rho) counts
-    # edge-respecting functions constant on the blocks of rho, i.e. the
-    # unrestricted count of the closure quotient
-    for rho in set_partitions(m):
-        poly = poly + Fraction(rho.mobius_lower()) * unrestricted_count_poly(
-            contract(rep, rho)
-        )
+def _compute(t: CyclePathType) -> IndicatorMomentResult:
+    path_factor = mobius_count_poly(CyclePathType((), t.paths).representative())
+    # the paths avoid the |mu| points and the a_c cycles the pattern's cycles took
+    shift = {0: N - sum(t.cycles)}
+    for c, a in Counter(t.cycles).items():
+        shift[c] = mvar(c) - a
+    poly = _cycle_factor(t.cycles) * path_factor.substitute(shift)
     k = t.size
-    if m and poly.graded_degree() != k:
+    if t.support_size and poly.graded_degree() != k:
         raise InternalConsistencyError(
             f"indicator polynomial for {t.key} has graded degree "
             f"{poly.graded_degree()}, expected {k}"
         )
     return _make_result(t, poly)
+
+
+def _cycle_factor(cycles: tuple[int, ...]) -> Poly:
+    """Ways to send the cycles of mu onto distinct cycles of the permutation
+    of the same lengths, each in one of c rotations: prod_c c^{a_c} (m_c)_{a_c}."""
+    out = Poly.const(1)
+    for c, a in Counter(cycles).items():
+        for j in range(a):
+            out = out * (c * (mvar(c) - j))
+    return out
+
+
+def mobius_count_poly(p: PartialPermutation) -> Poly:
+    """Compatible injections of the packed partial permutation p, by Moebius
+    inversion over every set partition of its support."""
+    poly = Poly()
+    # g(identity) = sum over rho of mu(0,rho) * F(rho), where F(rho) counts
+    # edge-respecting functions constant on the blocks of rho, i.e. the
+    # unrestricted count of the closure quotient
+    for rho in set_partitions(len(p.support)):
+        poly = poly + Fraction(rho.mobius_lower()) * unrestricted_count_poly(
+            contract(p, rho)
+        )
+    return poly
 
 
 def _make_result(t: CyclePathType, poly: Poly) -> IndicatorMomentResult:

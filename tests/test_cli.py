@@ -164,6 +164,10 @@ class TestExitCodes:
 
 
 class TestDiskCache:
+    @pytest.fixture
+    def fresh_cache(self, monkeypatch):
+        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+
     def test_cache_round_trip(self, tmp_path, capsys):
         path = str(tmp_path / "cache.json")
         code1, out1, _ = run(capsys, "moment", "exc", "--cache", path)
@@ -172,3 +176,43 @@ class TestDiskCache:
         code2, out2, _ = run(capsys, "moment", "exc", "--cache", path)
         assert (code1, code2) == (0, 0)
         assert out1 == out2
+
+    def test_bell_cap_applies_to_cached_types(self, tmp_path, capsys, monkeypatch):
+        # each run gets its own in-process cache, as separate processes would
+        path = str(tmp_path / "cache.json")
+        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        code, _, _ = run(capsys, "moment", "exc", "-d", "3", "--cache", path)
+        assert code == 0
+        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        code, out, err = run(
+            capsys, "moment", "exc", "-d", "3", "--bell-cap", "3", "--cache", path
+        )
+        assert code == 3
+        assert out == "" and "exceeds the Bell cap 3" in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"not json",
+            b"[1, 2]",
+            b'{"mu=[1];nu=[]": {"terms": "m1"}}',
+            b'{"mu=[0];nu=[]": {"terms": []}}',
+            b'{"cycles": {"terms": []}}',
+            b"\xff\xfe",
+        ],
+    )
+    def test_corrupt_cache_rejected_untouched(self, tmp_path, capsys, fresh_cache, content):
+        path = tmp_path / "cache.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "moment", "exc", "--cache", str(path))
+        assert code == 2
+        assert out == "" and str(path) in err
+        assert path.read_bytes() == content
+
+    def test_empty_file_is_empty_cache(self, tmp_path, capsys, fresh_cache):
+        path = tmp_path / "cache.json"
+        path.write_bytes(b"")
+        code, out, _ = run(capsys, "moment", "exc", "--cache", str(path))
+        assert code == 0
+        assert "(n - m1) / 2" in out
+        assert list(json.loads(path.read_bytes())) == ["mu=[];nu=[1]"]

@@ -1,19 +1,28 @@
 """Indicator moment polynomials f_(mu,nu) and their oracle certification."""
 
+import errno
+import json
+import os
 from fractions import Fraction
 
 import pytest
 
-from cycstat.errors import MalformedInputError, ResourceLimitError
+from cycstat import indicator
+from cycstat.errors import (
+    InternalConsistencyError,
+    MalformedInputError,
+    ResourceLimitError,
+)
 from cycstat.indicator import (
     c_poly,
     indicator_expectation,
     indicator_moment,
+    mobius_count_poly,
     unrestricted_count_poly,
 )
 from cycstat.oracle import injection_count, compatible_function_count, partitions
 from cycstat.partial import CyclePathType, PartialPermutation
-from cycstat.poly import N, ONE, mvar
+from cycstat.poly import N, ONE, Poly, mvar
 
 from conftest import all_cycle_path_types
 
@@ -108,6 +117,92 @@ class TestIndicatorMoment:
     def test_cache_returns_identical_object(self):
         t = CyclePathType((2,), (1,))
         assert indicator_moment(t) is indicator_moment(t)
+
+
+class TestCycleFactorisation:
+    """Only the path vertices go through the Moebius inversion; the cycles
+    enter as a closed-form factor."""
+
+    @pytest.fixture
+    def fresh_cache(self, monkeypatch):
+        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+
+    @pytest.fixture
+    def partition_sizes(self, fresh_cache, monkeypatch):
+        """The ground-set size of every set_partitions call; a call on more
+        than 4 points fails at once, before its enumeration runs."""
+        sizes = []
+        original = indicator.set_partitions
+
+        def counting(m):
+            sizes.append(m)
+            assert m <= 4, f"set_partitions({m}) called"
+            return original(m)
+
+        monkeypatch.setattr(indicator, "set_partitions", counting)
+        return sizes
+
+    def test_matches_full_support_mobius_sum(self):
+        types = [
+            t for t in all_cycle_path_types(5) if t.cycles and t.support_size <= 8
+        ]
+        assert len(types) == 54
+        for t in types:
+            assert indicator_moment(t).poly == mobius_count_poly(
+                t.representative()
+            ), t.key
+
+    def test_mixed_types_match_injection_counts(self):
+        from cycstat.expectation import evaluation_point
+
+        grid = [(lam, evaluation_point(lam)) for n in range(1, 7) for lam in partitions(n)]
+        for t in all_cycle_path_types(5):
+            if not (t.cycles and t.paths):
+                continue
+            poly = indicator_moment(t).poly
+            rep = t.representative()
+            for lam, pt in grid:
+                assert poly.evaluate(pt) == injection_count(rep, lam), (t.key, lam)
+
+    def test_cycle_only_support_twelve_needs_no_partitions(self, partition_sizes):
+        t = CyclePathType((2,) * 6, ())
+        poly = indicator_moment(t).poly
+        assert partition_sizes == [0]
+        # six 2-cycles onto distinct 2-cycles of pi, two rotations each
+        expected = ONE
+        for j in range(6):
+            expected = expected * (2 * (mvar(2) - j))
+        assert poly == expected
+
+    def test_mixed_type_partitions_only_path_support(self, partition_sizes):
+        indicator_moment(CyclePathType((3, 2, 2), (2,)))
+        assert partition_sizes == [3]
+
+    def test_wrong_cycle_factor_fails_certificate(self, fresh_cache, monkeypatch):
+        monkeypatch.setattr(indicator, "_cycle_factor", lambda cycles: Poly.const(1))
+        with pytest.raises(InternalConsistencyError) as err:
+            indicator_moment(CyclePathType((2,), (1,)))
+        assert "mu=[2];nu=[1]" in str(err.value)
+
+
+class TestDiskCache:
+    def test_atomic_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.json"
+        cache = indicator._MomentCache()
+        cache.configure_disk(str(path))
+        cache.get_or_compute(CyclePathType((1,), ()), 12)
+        before = path.read_bytes()
+        assert json.loads(before) == {"mu=[1];nu=[]": {"terms": [{"coef": "1", "exps": {"m1": 1}}]}}
+
+        def failing_dump(obj, fh):
+            fh.write(json.dumps(obj)[:10])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        result = cache.get_or_compute(CyclePathType((), (1,)), 12)
+        assert result.poly == N - mvar(1)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["cache.json"]
 
 
 class TestIndicatorExpectation:
