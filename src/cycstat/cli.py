@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     ResourceLimitError,
 )
-from .oracle import class_moment, partitions
+from .oracle import DEFAULT_N_CAP, class_moment, partitions
 from .poly import to_json_dict, to_text
 from .translates import class_value, type_sums
 
@@ -48,7 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache", metavar="PATH",
                        help="JSON disk cache for indicator polynomials")
         p.add_argument("--bell-cap", type=int, default=indicator.DEFAULT_BELL_CAP,
-                       help="largest support size allowed (set-partition cap)")
+                       help="most path vertices of one indicator polynomial "
+                       "(set-partition cap)")
 
     p = sub.add_parser("moment", help="symbolic d-th class moment")
     common(p)
@@ -165,8 +166,8 @@ def _cmd_limit(args, stat) -> int:
 
 
 def _cmd_verify(args, stat) -> int:
-    if args.nmax > 8:
-        raise ResourceLimitError("--nmax is capped at 8")
+    if args.nmax > DEFAULT_N_CAP:
+        raise ResourceLimitError(f"--nmax is capped at {DEFAULT_N_CAP}")
     if args.nmax < 1:
         raise MalformedInputError("--nmax must be >= 1")
     if args.d < 1:

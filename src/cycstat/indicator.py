@@ -30,12 +30,19 @@ from fractions import Fraction
 
 from .contraction import contract
 from .errors import InternalConsistencyError, MalformedInputError, ResourceLimitError
-from .expectation import RationalExpectation
+from .expectation import RationalExpectation, evaluation_point
+from .oracle import injection_count
 from .partial import CyclePathType, PartialPermutation
 from .poly import N, Poly, from_json_dict, mvar, to_json_dict
 from .setpartitions import bell_number, set_partitions
 
 DEFAULT_BELL_CAP = 12
+
+# the oracle visits up to 2^m sets of used points: m fixed points into the
+# identity take 0.05 s at m = 12 and about 1 s at m = 16.  The Bell cap bounds
+# the path vertices only, so types of larger support, with many cycles, are
+# cached too; their entries are checked on load by graded degree alone.
+ORACLE_CHECK_MAX_SUPPORT = 12
 
 
 def c_poly(t: CyclePathType) -> Poly:
@@ -96,12 +103,13 @@ class _MomentCache:
                 self._flush_locked()
 
     def get_or_compute(self, t: CyclePathType, bell_cap: int) -> IndicatorMomentResult:
-        # a pre-flight guard: a cached type is refused like a new one
-        m = t.support_size
-        if m > bell_cap:
+        # a pre-flight guard on the one Bell enumeration, over the path
+        # vertices; a cached type is refused like a new one
+        p = sum(t.paths) + len(t.paths)
+        if p > bell_cap:
             raise ResourceLimitError(
-                f"support size {m} exceeds the Bell cap {bell_cap} "
-                f"(Bell({m}) = {bell_number(m)} set partitions)"
+                f"path-vertex count {p} exceeds the Bell cap {bell_cap} "
+                f"(Bell({p}) = {bell_number(p)} set partitions)"
             )
         with self._lock:
             hit = self._data.get(t)
@@ -136,7 +144,8 @@ class _MomentCache:
 
 def _read_disk(path: str) -> dict[CyclePathType, Poly]:
     """The entries of a cache file; a missing or empty file is an empty
-    cache, anything but a JSON object of type-key -> polynomial is refused."""
+    cache, anything but a JSON object of type-key -> polynomial is refused,
+    and so is an entry that fails _check_entry."""
     try:
         with open(path, "rb") as fh:
             text = fh.read()
@@ -153,11 +162,31 @@ def _read_disk(path: str) -> dict[CyclePathType, Poly]:
             t = _type_from_key(key)
             if t.key != key:
                 raise ValueError(f"bad type key {key!r}")
-            entries[t] = from_json_dict(poly_data)
+            entries[t] = _check_entry(t, from_json_dict(poly_data))
         return entries
     except (ValueError, TypeError, KeyError, IndexError, AttributeError,
             MalformedInputError) as exc:
         raise MalformedInputError(f"cache file {path} is not a cycstat cache: {exc}") from None
+
+
+def _check_entry(t: CyclePathType, poly: Poly) -> Poly:
+    """A loaded polynomial must have graded degree k and, up to support
+    ORACLE_CHECK_MAX_SUPPORT, count the injections of t's representative
+    into an m-cycle and into the identity of S_m, as the oracle does."""
+    if poly.graded_degree() != t.size:
+        raise ValueError(f"entry {t.key} has graded degree {poly.graded_degree()}, expected {t.size}")
+    m = t.support_size
+    if m > ORACLE_CHECK_MAX_SUPPORT:
+        return poly
+    rep = t.representative()
+    # the empty type's only class is the empty one
+    for lam in [(m,), (1,) * m] if m else [()]:
+        if poly.evaluate(evaluation_point(lam)) != injection_count(rep, lam, cap=m):
+            raise ValueError(
+                f"entry {t.key} does not match the oracle at "
+                f"lambda=({','.join(map(str, lam))})"
+            )
+    return poly
 
 
 _CACHE = _MomentCache()

@@ -154,14 +154,20 @@ def injection_count(p: PartialPermutation, lam, pi=None, cap: int = DEFAULT_N_CA
     comps = p.components()
     options = [_component_images(kind, verts, pi) for kind, verts in comps]
 
+    # the ways to place components idx.. depend on the points used so far,
+    # not on how they were used, so each (idx, used) is counted once
+    memo: dict[tuple[int, frozenset], int] = {}
+
     def rec(idx: int, used: frozenset) -> int:
         if idx == len(options):
             return 1
-        total = 0
-        for image in options[idx]:
-            if used.isdisjoint(image):
-                total += rec(idx + 1, used | set(image))
-        return total
+        if (idx, used) not in memo:
+            memo[idx, used] = sum(
+                rec(idx + 1, used | set(image))
+                for image in options[idx]
+                if used.isdisjoint(image)
+            )
+        return memo[idx, used]
 
     return rec(0, frozenset())
 

@@ -184,6 +184,19 @@ def covering_injections(m: int, l: int):
                     yield a, b
 
 
+def push_adjacencies(constraints, a: tuple[int, ...]) -> set[int] | None:
+    """Image of adjacency constraints under the increasing tuple a: the
+    constraint c, which makes support elements c and c + 1 consecutive,
+    becomes a[c - 1].  None when a[c] is not a[c - 1] + 1, since nothing can
+    sit strictly between two consecutive integers."""
+    out = set()
+    for c in constraints:
+        if a[c] != a[c - 1] + 1:
+            return None
+        out.add(a[c - 1])
+    return out
+
+
 def relabel(support: tuple[int, ...] | list[int], packed: PartialPermutation) -> PartialPermutation:
     """Apply the order-preserving substitution u -> support[u-1] to a packed
     partial permutation; inverse of canonicalize on its image."""

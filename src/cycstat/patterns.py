@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedInputError
-from .partial import PartialPermutation, covering_injections
+from .partial import PartialPermutation, covering_injections, push_adjacencies
 from .poly import ONE, Poly, xvar
 from .translates import ConstrainedTranslate, RegularStatistic
 
@@ -77,30 +77,16 @@ def compile_bivincular(pattern: BivincularPattern) -> RegularStatistic:
     for U, vset in covering_injections(k, k):
         # vset sorted ascending; value at position a has rank sigma[a]
         V = tuple(vset[sigma[a] - 1] for a in range(k))
-        C: set[int] = set()
-        ok = True
-        for a in pattern.A:
-            if U[a] != U[a - 1] + 1:
-                ok = False
-                break
-            C.add(U[a - 1])
-        if ok:
-            for b in pattern.B:
-                if vset[b] != vset[b - 1] + 1:
-                    ok = False
-                    break
-                C.add(vset[b - 1])
-        if not ok:
+        # A constrains adjacent positions, B adjacent values
+        CA = push_adjacencies(pattern.A, U)
+        CB = push_adjacencies(pattern.B, vset)
+        if CA is None or CB is None:
             continue
-        weight = pattern.f.substitute(
-            {t: Poly.variable(U[t] - 1) for t in range(k)}
-        ) * pattern.g.substitute(
-            {t: Poly.variable(V[t] - 1) for t in range(k)}
-        )
+        weight = pattern.f.relabel([u - 1 for u in U]) * pattern.g.relabel([v - 1 for v in V])
         if weight.is_zero:
             continue
         packed = PartialPermutation(U, V)
-        out.append(ConstrainedTranslate(packed, frozenset(C), weight))
+        out.append(ConstrainedTranslate(packed, frozenset(CA | CB), weight))
     return RegularStatistic(tuple(out))
 
 

@@ -14,7 +14,6 @@ point anywhere.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import gcd, inf
 
@@ -67,10 +66,6 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def is_constant(self) -> bool:
-        return all(not e for e in self.terms)
 
     def constant_value(self) -> Fraction:
         return self.terms.get((), Fraction(0))
@@ -163,8 +158,7 @@ class Poly:
             term = coef
             for i, e in enumerate(exps):
                 if e:
-                    v = Fraction(values[i]) if i < len(values) else Fraction(0)
-                    term *= v**e
+                    term *= (values[i] if i < len(values) else 0) ** e
             total += term
         return total
 
@@ -182,6 +176,15 @@ class Poly:
                 term = term * base**e
             out = out + term
         return out
+
+    def relabel(self, index) -> "Poly":
+        """Rename variable i to variable index[i]; index is injective, so the
+        terms keep their coefficients and never collide."""
+        out: dict[Exponents, Fraction] = {}
+        for exps, coef in self.terms.items():
+            moved = {index[i]: e for i, e in enumerate(exps) if e}
+            out[tuple(moved.get(j, 0) for j in range(max(moved, default=-1) + 1))] = coef
+        return _raw(out)
 
     def __repr__(self):
         return f"Poly({to_text(self)})"
@@ -393,7 +396,3 @@ def interpolate(points: list[tuple[int, Fraction]]) -> Poly:
         poly = poly + Poly.const(c) * basis
         basis = basis * (N - Poly.const(xs[j]))
     return poly
-
-
-def poly_to_json_text(p: Poly, universe=ENGINE_VARS) -> str:
-    return json.dumps(to_json_dict(p, universe))

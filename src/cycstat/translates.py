@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import InternalConsistencyError, MalformedInputError
 from .expectation import RationalExpectation, ZERO_EXPECTATION, evaluation_point
 from .indicator import DEFAULT_BELL_CAP, indicator_moment
-from .partial import CyclePathType, PartialPermutation, covering_injections
+from .partial import CyclePathType, PartialPermutation, covering_injections, push_adjacencies
 from .poly import ZERO, Poly, falling_factorial_value, to_text, WEIGHT_VARS
 from .sums import constrained_subsets, constrained_sum
 
@@ -325,18 +325,10 @@ def translate_product(t1: ConstrainedTranslate, t2: ConstrainedTranslate) -> Reg
 
 
 def _merge_overlap(t1, t2, a, b):
-    # adjacency constraints transfer only when the injection keeps the two
-    # endpoints adjacent; otherwise an element sits strictly between two
-    # consecutive integers, which is impossible
-    C: set[int] = set()
-    for c in t1.constraints:
-        if a[c] != a[c - 1] + 1:
-            return None
-        C.add(a[c - 1])
-    for c in t2.constraints:
-        if b[c] != b[c - 1] + 1:
-            return None
-        C.add(b[c - 1])
+    C1 = push_adjacencies(t1.constraints, a)
+    C2 = push_adjacencies(t2.constraints, b)
+    if C1 is None or C2 is None:
+        return None
 
     edges: dict[int, int] = {}
     for u, v in zip(t1.packed.positions, t1.packed.values):
@@ -350,10 +342,6 @@ def _merge_overlap(t1, t2, a, b):
     if len(set(vals)) != len(vals):
         return None  # one value, two positions
 
-    weight = t1.weight.substitute(
-        {i: Poly.variable(a[i] - 1) for i in range(len(a))}
-    ) * t2.weight.substitute(
-        {i: Poly.variable(b[i] - 1) for i in range(len(b))}
-    )
+    weight = t1.weight.relabel([x - 1 for x in a]) * t2.weight.relabel([x - 1 for x in b])
     packed = PartialPermutation(tuple(edges.keys()), tuple(edges.values()))
-    return ConstrainedTranslate(packed, frozenset(C), weight)
+    return ConstrainedTranslate(packed, frozenset(C1 | C2), weight)

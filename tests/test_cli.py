@@ -99,9 +99,10 @@ class TestVerify:
             assert out == "" and "--nmax" in err
 
     def test_support_beyond_ground_set_needs_no_indicator(self, capsys, monkeypatch):
-        # exc^3 has types of support up to 6, above the cap of 3; on classes
-        # with n <= 2 they contribute 0 and their indicators are never built.
-        # An empty cache, since a cached type is returned whatever the cap.
+        # exc^3 has types with up to 6 path vertices, above the cap of 3; on
+        # classes with n <= 2 they contribute 0 and their indicators are
+        # never built.  An empty cache, so that no type other tests cached
+        # stands in for one this run builds.
         monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
         code, out, _ = run(
             capsys, "verify", "exc", "--nmax", "2", "-d", "3", "--bell-cap", "3"
@@ -158,6 +159,20 @@ class TestExitCodes:
         assert code == 3
         assert "resource limit" in err
 
+    def test_bell_cap_counts_path_vertices(self, capsys):
+        # seven 2-cycles: support 14, but no path vertex to partition
+        code, out, _ = run(
+            capsys,
+            "moment",
+            "T(U=(1,2,3,4,5,6,7,8,9,10,11,12,13,14);"
+            "V=(2,1,4,3,6,5,8,7,10,9,12,11,14,13);C={};f=1)",
+        )
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "moment d=1: (720*m2 - 1764*m2^2 + 1624*m2^3 - 735*m2^4"
+            " + 175*m2^5 - 21*m2^6 + m2^7) / 681080400"
+        )
+
     def test_bad_moment_order(self, capsys):
         code, _, _ = run(capsys, "moment", "exc", "-d", "0")
         assert code == 2
@@ -199,6 +214,12 @@ class TestDiskCache:
             b'{"mu=[0];nu=[]": {"terms": []}}',
             b'{"cycles": {"terms": []}}',
             b"\xff\xfe",
+            # well formed, but 5*n is not the polynomial of one edge
+            b'{"mu=[];nu=[1]": {"terms": [{"coef": "5", "exps": {"n": 1}}]}}',
+            # n - 3*m1 + m1^2 agrees with n - m1 at lambda = (2) and (1,1),
+            # but has graded degree 2 for a type of one edge
+            b'{"mu=[];nu=[1]": {"terms": [{"coef": "1", "exps": {"n": 1}},'
+            b' {"coef": "-3", "exps": {"m1": 1}}, {"coef": "1", "exps": {"m1": 2}}]}}',
         ],
     )
     def test_corrupt_cache_rejected_untouched(self, tmp_path, capsys, fresh_cache, content):
@@ -208,6 +229,15 @@ class TestDiskCache:
         assert code == 2
         assert out == "" and str(path) in err
         assert path.read_bytes() == content
+
+    def test_wrong_entry_named(self, tmp_path, capsys, fresh_cache):
+        # right degree and right structure, wrong values: only the oracle
+        # comparison tells it from the true n - m1
+        path = tmp_path / "cache.json"
+        path.write_text('{"mu=[];nu=[1]": {"terms": [{"coef": "1", "exps": {"n": 1}}]}}')
+        code, out, err = run(capsys, "moment", "exc", "--cache", str(path))
+        assert code == 2
+        assert out == "" and "mu=[];nu=[1]" in err and str(path) in err
 
     def test_empty_file_is_empty_cache(self, tmp_path, capsys, fresh_cache):
         path = tmp_path / "cache.json"

@@ -1,0 +1,98 @@
+"""Golden CLI outputs: the SHA-256 of stdout and the exit code of quick
+commands, in text and JSON, recorded at commit b1660a3.
+
+A change to the engine that keeps its answers keeps these bytes.  The
+products (moments of order 2 and 3, the `expand` of squares) carry
+translates whose weights and adjacency constraints were moved through an
+injection; the `biv` square relabels non-constant weights of both factors.
+"""
+
+import hashlib
+
+import pytest
+
+from cycstat.cli import main
+
+GOLDEN = [
+    (("moment", "exc", "-d", "1"), 0,
+     "d22bff504441049ac7a10732f87926efe89fc197f24d3dc1830797c20cfbd1d3"),
+    (("moment", "exc", "-d", "1", "--json"), 0,
+     "ca1644390668becfce08597868a86bf6fd39f9740737819a3bf2aa2a3999c124"),
+    (("moment", "exc", "-d", "2"), 0,
+     "d4ac1f2262222797cc1999aef6ae11df2a5018c314e89d88b651df977dd8c4fe"),
+    (("moment", "exc", "-d", "2", "--json"), 0,
+     "d27f7845f8ba92b0aa025a8e4ad4eece4cf3851474c541a01ce3c35621d9bfbe"),
+    (("moment", "exc", "-d", "3"), 0,
+     "8af71956ecdff2863b1364f6a469511085287fb6b4df002ecc8b42ac8093ccd4"),
+    (("moment", "exc", "-d", "3", "--json"), 0,
+     "833ff868e855069a008cbef536abe5fa26e66290b4b76c0ec99375898ed27579"),
+    (("moment", "maj", "-d", "2"), 0,
+     "9635017d42a54496fbfea099a7eaf413c287a9ef7c96e57b8ccaa2aefea41e97"),
+    (("moment", "maj", "-d", "2", "--json"), 0,
+     "c8f942c499d5d43c0f1776bdb5f47af0934f8b17085f65752f3819a716e15880"),
+    (("moment", "des", "-d", "2", "--variance"), 0,
+     "4cd7e420aa4a6f77b86237647cf0cee5a91a2cc66f7976f7d0d1db59fd991d96"),
+    (("moment", "des", "-d", "2", "--variance", "--json"), 0,
+     "a22ddf4bb0259e7805ce9a1c5304a23a45bf2c5b636d89cf784ff0e7e813dcc0"),
+    (("moment", "des", "-d", "1", "--lambda", "4,2,1"), 0,
+     "4afc27e7493571bb589aa18b79eb2ff77d2b55b0ae41a19e5faaa2c5c4b3fdcf"),
+    (("moment", "des", "-d", "1", "--lambda", "4,2,1", "--json"), 0,
+     "754ccf0e5a3b112c0f5ad9ded469bcd74744fb08360aec869cc2e41f0891e4db"),
+    (("moment", "exc", "-d", "2", "--variance", "--lambda", "3,1"), 0,
+     "831ef34be22f303bbd51b39be112d47b6078c392e5d8435a437c80ec2eb16ac4"),
+    (("moment", "exc", "-d", "2", "--variance", "--lambda", "3,1", "--json"), 0,
+     "836cd68c5aa9517c92a1408ebfd0e440f4b549b7645a8f75dcc249f04af1b3ee"),
+    (("limit", "exc", "--mean"), 0,
+     "6decbcd25d12c650c27406ad6a7052e1105756b5aca198d9499fb5efbca78b5b"),
+    (("limit", "exc", "--mean", "--json"), 0,
+     "7f3abbdaaa7c7a06e647c01e063ca6a8233012582c04d5d0339024f735050284"),
+    (("limit", "N(12)", "--mean"), 0,
+     "fe5674f6d6a641e81a27529a76b957605876c05e84149725d1d89568a372ed07"),
+    (("limit", "N(12)", "--mean", "--json"), 0,
+     "b1ce256f95114f569e61431a435c8fb73970118d79e692f1ca8b6e88c5be803a"),
+    (("limit", "exc", "--variance"), 0,
+     "53913d86b6b50575789836a26d39e4a8c1b7be330509b8d9141d7ef654058326"),
+    (("limit", "exc", "--variance", "--json"), 0,
+     "d039d0f87ce8947ded04b823d56cf9cbccfdc69c43143ac34161b3de694503eb"),
+    (("limit", "fix", "--variance"), 0,
+     "88b222f642114dd1a24dd09f310e5e53860137815bb3deeeabb42223b76e7098"),
+    (("limit", "fix", "--variance", "--json"), 0,
+     "4a5d18560f6a0a39766f5f4f05d0be2f3e0df9d2702ab73db8e34415e260d4fb"),
+    (("verify", "exc", "--nmax", "5", "-d", "2"), 0,
+     "c7680adfa30706cc672ddd6fd7effeaf460eae4498aa3f6f496584d009fe96a6"),
+    (("verify", "exc", "--nmax", "5", "-d", "2", "--json"), 0,
+     "1fe6c2aaf22081f5828b901a68b7102db9207b3ff391db058c1d236c6e5436f6"),
+    (("verify", "biv(21;A={1};B={};f=x1;g=1)", "--nmax", "4", "-d", "2"), 0,
+     "d7d655a062d976473ae1e851984d3a498a8e394fcb7c5c6361962540c0e9c22c"),
+    (("verify", "biv(21;A={1};B={};f=x1;g=1)", "--nmax", "4", "-d", "2", "--json"), 0,
+     "ca462a48644060bc8c91c0105984ce4540cc3291500954931ed15bf05f7b3bf9"),
+    (("expand", "maj^2"), 0,
+     "330f3a600295ed1ae096ebb41473fc697bdd56e8edeaad4b0c2cf865dcb1c1a0"),
+    (("expand", "maj^2", "--json"), 0,
+     "a1fc242e7c2117e2acbc8d6e49f73fe6a9979b6c499ea31bc66b4fe83a8d2481"),
+    (("expand", "N(21;A={1})^2"), 0,
+     "f30b24a427dacba0cb78436956b9433275edc9a1718c0dde387e0fda8c443a87"),
+    (("expand", "N(21;A={1})^2", "--json"), 0,
+     "c0d6d172da47ce7f72ef6f51bac1e4c113263127278d3c310d4286345dc7bc60"),
+    (("expand", "biv(21;A={1};B={};f=x1^2;g=x2^2)^2"), 0,
+     "a2e61088c17d7220a288e1a8d5c930d3cafafbac5fef4be502168cc0001cd06e"),
+    (("expand", "biv(21;A={1};B={};f=x1^2;g=x2^2)^2", "--json"), 0,
+     "fc48c0b3e4ab050bcc01b050922a052760988390959aca17c3e22ffa754a29ca"),
+    (("moment", "bogus(", "-d", "1"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("moment", "bogus(", "-d", "1", "--json"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("verify", "exc", "--nmax", "9"), 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("verify", "exc", "--nmax", "9", "--json"), 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", GOLDEN, ids=[" ".join(argv) for argv, _, _ in GOLDEN]
+)
+def test_golden_output(capsys, argv, code, digest):
+    assert main(list(argv)) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

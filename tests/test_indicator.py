@@ -22,7 +22,7 @@ from cycstat.indicator import (
 )
 from cycstat.oracle import injection_count, compatible_function_count, partitions
 from cycstat.partial import CyclePathType, PartialPermutation
-from cycstat.poly import N, ONE, Poly, mvar
+from cycstat.poly import N, ONE, Poly, mvar, to_json_dict
 
 from conftest import all_cycle_path_types
 
@@ -203,6 +203,19 @@ class TestDiskCache:
         assert result.poly == N - mvar(1)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["cache.json"]
+
+    def test_large_cycle_entry_loads_without_oracle(self, tmp_path, monkeypatch):
+        # sixteen fixed points pass the Bell cap (no path vertex); the oracle
+        # would visit 2^16 sets of used points to check the entry
+        t = CyclePathType((1,) * 16, ())
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({t.key: to_json_dict(indicator_moment(t).poly)}))
+
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran on a support-16 entry")
+
+        monkeypatch.setattr(indicator, "injection_count", no_oracle)
+        assert indicator._read_disk(str(path)) == {t: indicator_moment(t).poly}
 
 
 class TestIndicatorExpectation:

@@ -1,5 +1,6 @@
 """Self-checks for the brute-force oracle itself."""
 
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -25,7 +26,7 @@ from cycstat.oracle import (
     representative,
     two_cycle_count,
 )
-from cycstat.partial import PartialPermutation
+from cycstat.partial import CyclePathType, PartialPermutation
 
 
 class TestPartitions:
@@ -103,6 +104,15 @@ class TestCounts:
                 injection_count(p, lam, pi=w) for w in conjugacy_class(lam)
             }
             assert len(counts) == 1
+
+    def test_injection_count_of_many_fixed_points(self):
+        # ten fixed points into the identity of S_10: 10! injections, counted
+        # over the 2^10 sets of used points rather than one by one, so that
+        # checking a cache entry of such a type as it loads stays cheap
+        p = CyclePathType((1,) * 10, ()).representative()
+        started = time.monotonic()
+        assert injection_count(p, (1,) * 10, cap=10) == factorial(10)
+        assert time.monotonic() - started < 2.0
 
     def test_compatible_function_counts(self):
         assert compatible_function_count(

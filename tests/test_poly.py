@@ -96,6 +96,13 @@ class TestSubstitute:
         assert q.evaluate(vals) == p.evaluate((vals[1] + 1, vals[1]))
 
 
+@given(poly_strategy(), st.lists(st.integers(0, 5), min_size=3, max_size=3, unique=True))
+def test_relabel_is_substitution_by_variables(p, index):
+    # any injective map, order-preserving or not
+    expected = p.substitute({i: Poly.variable(j) for i, j in enumerate(index)})
+    assert p.relabel(index) == expected
+
+
 class TestFallingFactorials:
     def test_poly_matches_value(self):
         for a in range(5):
