@@ -2,7 +2,7 @@
 conjugacy class, with asymptotic mean/variance limits and a brute-force
 verification oracle."""
 
-from .asymptotics import GradedDecomposition, alpha_limit, decompose, variance_limit
+from .asymptotics import alpha_limit, limit_ratio, variance_limit
 from .dsl import parse_statistic
 from .errors import (
     CycstatError,
@@ -14,9 +14,8 @@ from .errors import (
     ResourceLimitError,
     SizeMismatchError,
 )
-from .expectation import RationalExpectation, limit_ratio
+from .expectation import RationalExpectation
 from .indicator import (
-    IndicatorMomentResult,
     c_poly,
     configure_disk_cache,
     indicator_expectation,
@@ -46,8 +45,6 @@ __all__ = [
     "CycstatError",
     "DegenerateEvaluationError",
     "DivergenceError",
-    "GradedDecomposition",
-    "IndicatorMomentResult",
     "InternalConsistencyError",
     "MalformedInputError",
     "ParseError",
@@ -65,7 +62,6 @@ __all__ = [
     "compile_bivincular",
     "configure_disk_cache",
     "cyc2",
-    "decompose",
     "des",
     "exc",
     "fix",

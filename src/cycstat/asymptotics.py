@@ -1,70 +1,68 @@
-"""Graded asymptotic decomposition, fixed-point-density limits and the
-variance limit.
+"""Fixed-point-density limits and the variance limit.
 
-For a statistic of power p and shift q, the cleared expectation
-(n)_q * E[Psi] is a polynomial whose monomials split by graded degree; in
-the scaled variables y_i = m_i / n^i the degree-l layer contributes at order
-n^{-(p+q-l)} to E[Psi]/n^p.  The top layer evaluated at (alpha, 0, ...)
-gives the limit along sequences with m_1/n -> alpha, and the variance scaled
-by n^{2p-1} converges to V1(alpha) + beta*V2(alpha).
+Both limits are one leading-degree ratio, limit_ratio: substitute
+m_1 = alpha*n and m_2 = beta*n into an exact expectation (m_{i>=3} = o(n^i),
+set to 0) and compare the top n-degree of the numerator with that of the
+denominator times n^scale.  E[Psi]/n^p converges to f(alpha): a monomial's
+n-degree after the substitution is at most its graded degree, with equality
+only when it has no m_{i>=2}, and moment(1) certifies graded degree <= p + q
+for (n)_q * E.  The variance scaled by n^{2p-1} converges to
+V1(alpha) + beta*V2(alpha).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
 
-from .errors import InternalConsistencyError
-from .expectation import RationalExpectation, limit_ratio
+from .errors import DivergenceError, InternalConsistencyError
+from .expectation import RationalExpectation
 from .indicator import DEFAULT_BELL_CAP
-from .poly import Poly, _graded
+from .poly import Poly
 from .translates import RegularStatistic
 
 
-@dataclass(frozen=True)
-class GradedDecomposition:
-    """Layers l -> g_l in the scaled variables y_1, y_2, ... (variable i-1
-    is y_i = m_i/n^i), for 0 <= l <= p + q."""
+def limit_ratio(E: RationalExpectation, scale_power: int) -> Poly:
+    """Limit of E / n^scale_power as n -> infinity along sequences with
+    m_1 = alpha*n, m_2 = beta*n and m_{i>=3} = o(n^i) (set to 0).
 
-    p: int
-    q: int
-    layers: dict[int, Poly]
-
-    def layer(self, ell: int) -> Poly:
-        return self.layers.get(ell, Poly())
-
-    @property
-    def leading(self) -> Poly:
-        """g_{p+q}, the layer controlling the scaled limit."""
-        return self.layer(self.p + self.q)
-
-
-def decompose(E: RationalExpectation, p: int, q: int) -> GradedDecomposition:
-    """Split the cleared numerator (n)_q * E by graded monomial degree.
-
-    A monomial c * n^{a0} * m1^{a1} * ... of graded degree l maps to the
-    layer term c * y1^{a1} * ... in g_l; the n-exponent is implied by
-    homogeneity, so the layers drop it.
+    Returns a polynomial in alpha (variable 0) and beta (variable 1); the
+    limit is the leading-coefficient ratio, exact by degree comparison.
+    Raises DivergenceError when the numerator's n-degree exceeds the
+    denominator's, i.e. the scale power is too small.
     """
-    cleared = E.clear_falling(q)
-    layers: dict[int, dict] = {}
-    for exps, coef in cleared.terms.items():
-        ell = _graded(exps)
-        if ell > p + q:
-            raise InternalConsistencyError(
-                f"graded degree {ell} exceeds p + q = {p + q}"
-            )
-        bucket = layers.setdefault(ell, {})
-        key = exps[1:]
-        bucket[key] = bucket.get(key, 0) + coef
-    return GradedDecomposition(p, q, {ell: Poly(b) for ell, b in layers.items()})
+    den_degree = sum(E.den) + scale_power
+    # substitute: each term c * n^a0 * m1^a1 * m2^a2 becomes
+    # c * alpha^a1 * beta^a2 * n^(a0 + a1 + a2)
+    by_ndeg: dict[int, dict] = {}
+    for exps, coef in E.num.terms.items():
+        a0 = exps[0] if exps else 0
+        a1 = exps[1] if len(exps) > 1 else 0
+        a2 = exps[2] if len(exps) > 2 else 0
+        if any(exps[3:]):
+            continue
+        ndeg = a0 + a1 + a2
+        bucket = by_ndeg.setdefault(ndeg, {})
+        key = (a1, a2)
+        bucket[key] = bucket.get(key, Fraction(0)) + coef
+    top = -1
+    for ndeg, bucket in by_ndeg.items():
+        if any(bucket.values()) and ndeg > top:
+            top = ndeg
+    if top > den_degree:
+        raise DivergenceError(
+            f"numerator grows like n^{top} against denominator n^{den_degree}; "
+            "the scale power is too small"
+        )
+    if top < den_degree or top < 0:
+        return Poly()
+    return Poly(by_ndeg[top])
 
 
 def alpha_limit(stat: RegularStatistic, bell_cap: int = DEFAULT_BELL_CAP) -> Poly:
-    """f(alpha) = lim E_lambda[Psi]/n^p along m_1/n -> alpha: the leading
-    layer with y_1 = alpha and y_{i>=2} = 0.  Polynomial in one variable."""
-    dec = decompose(stat.moment(1, bell_cap), stat.power, stat.shift)
-    top = dec.leading
-    return Poly({exps: c for exps, c in top.terms.items() if not any(exps[1:])})
+    """f(alpha) = lim E_lambda[Psi]/n^p along m_1/n -> alpha: the beta-free
+    part of the leading-degree ratio.  Polynomial in one variable."""
+    limit = limit_ratio(stat.moment(1, bell_cap), stat.power)
+    return Poly({exps: c for exps, c in limit.terms.items() if not any(exps[1:])})
 
 
 def variance_limit(
@@ -76,10 +74,10 @@ def variance_limit(
     variance has no n^{2q}*m1^{2p} monomial; and the limit is exactly linear
     in beta.
     """
-    p, q = stat.power, stat.shift
-    V = stat.variance(bell_cap).normalized()
+    p = stat.power
+    V = stat.variance(bell_cap)
     # top graded layer of the numerator sits at degree sum(den) + 2p; its
-    # pure-y1 monomial n^sum(den) * m1^(2p) must cancel for the n^(2p-1)
+    # pure-m1 monomial n^sum(den) * m1^(2p) must cancel for the n^(2p-1)
     # scaling to converge
     den_degree = sum(V.den)
     if V.num.coefficient((den_degree, 2 * p)) != 0:

@@ -94,16 +94,12 @@ class RationalExpectation:
                     break
         return RationalExpectation(num, tuple(remaining))
 
-    def times_falling(self, a: int) -> "RationalExpectation":
-        """Multiply by (n)_a."""
-        return RationalExpectation(
-            self.num * falling_factorial_poly(a), self.den
-        ).normalized()
-
     def clear_falling(self, a: int) -> Poly:
         """Return (n)_a * self as a polynomial; raises if the product is not
         polynomial (which would falsify the moment theorems)."""
-        cleared = self.times_falling(a)
+        cleared = RationalExpectation(
+            self.num * falling_factorial_poly(a), self.den
+        ).normalized()
         if cleared.den:
             raise InternalConsistencyError(
                 f"(n)_{a} * expectation is not polynomial; residual "
@@ -152,47 +148,6 @@ class RationalExpectation:
 
 
 ZERO_EXPECTATION = RationalExpectation(Poly(), ())
-
-LIMIT_VARS = ("alpha", "beta")
-
-
-def limit_ratio(E: RationalExpectation, scale_power: int) -> Poly:
-    """Limit of E / n^scale_power as n -> infinity along sequences with
-    m_1 = alpha*n, m_2 = beta*n and m_{i>=3} = o(n^i) (set to 0).
-
-    Returns a polynomial in alpha (variable 0) and beta (variable 1); the
-    limit is the leading-coefficient ratio, exact by degree comparison.
-    Raises DivergenceError when the numerator's n-degree exceeds the
-    denominator's, i.e. the scale power is too small.
-    """
-    from .errors import DivergenceError
-
-    den_degree = sum(E.den) + scale_power
-    # substitute: each term c * n^a0 * m1^a1 * m2^a2 becomes
-    # c * alpha^a1 * beta^a2 * n^(a0 + a1 + a2)
-    by_ndeg: dict[int, dict] = {}
-    for exps, coef in E.num.terms.items():
-        a0 = exps[0] if exps else 0
-        a1 = exps[1] if len(exps) > 1 else 0
-        a2 = exps[2] if len(exps) > 2 else 0
-        if any(exps[3:]):
-            continue
-        ndeg = a0 + a1 + a2
-        bucket = by_ndeg.setdefault(ndeg, {})
-        key = (a1, a2)
-        bucket[key] = bucket.get(key, Fraction(0)) + coef
-    top = -1
-    for ndeg, bucket in by_ndeg.items():
-        if any(bucket.values()) and ndeg > top:
-            top = ndeg
-    if top > den_degree:
-        raise DivergenceError(
-            f"numerator grows like n^{top} against denominator n^{den_degree}; "
-            "the scale power is too small"
-        )
-    if top < den_degree or top < 0:
-        return Poly()
-    return Poly(by_ndeg[top])
 
 
 def _coerce(x) -> RationalExpectation:

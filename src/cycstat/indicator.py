@@ -25,15 +25,14 @@ import json
 import os
 import threading
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .contraction import contract
 from .errors import InternalConsistencyError, MalformedInputError, ResourceLimitError
-from .expectation import RationalExpectation, evaluation_point
+from .expectation import evaluation_point
 from .oracle import injection_count
 from .partial import CyclePathType, PartialPermutation
-from .poly import N, Poly, from_json_dict, mvar, to_json_dict
+from .poly import N, Poly, falling_factorial_value, from_json_dict, mvar, to_json_dict
 from .setpartitions import bell_number, set_partitions
 
 DEFAULT_BELL_CAP = 12
@@ -76,21 +75,13 @@ def unrestricted_count_poly(t: CyclePathType) -> Poly:
     return out
 
 
-@dataclass(frozen=True)
-class IndicatorMomentResult:
-    type: CyclePathType
-    m: int
-    poly: Poly
-    expectation: RationalExpectation
-
-
 class _MomentCache:
     """In-process cache with single-flight computation and an optional
     on-disk JSON mirror."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._data: dict[CyclePathType, IndicatorMomentResult] = {}
+        self._data: dict[CyclePathType, Poly] = {}
         self._disk_path: str | None = None
 
     def configure_disk(self, path: str | None) -> None:
@@ -98,11 +89,12 @@ class _MomentCache:
             loaded = {} if path is None else _read_disk(path)
             self._disk_path = path
             for t, poly in loaded.items():
-                self._data.setdefault(t, _make_result(t, poly))
-            if path is not None and self._data:
+                self._data.setdefault(t, poly)
+            # written only when this process holds a type the file lacks
+            if path is not None and not self._data.keys() <= loaded.keys():
                 self._flush_locked()
 
-    def get_or_compute(self, t: CyclePathType, bell_cap: int) -> IndicatorMomentResult:
+    def get_or_compute(self, t: CyclePathType, bell_cap: int) -> Poly:
         # a pre-flight guard on the one Bell enumeration, over the path
         # vertices; a cached type is refused like a new one
         p = sum(t.paths) + len(t.paths)
@@ -115,14 +107,14 @@ class _MomentCache:
             hit = self._data.get(t)
             if hit is not None:
                 return hit
-            result = _compute(t)
-            self._data[t] = result
+            poly = _compute(t)
+            self._data[t] = poly
             if self._disk_path is not None:
                 self._flush_locked()
-            return result
+            return poly
 
     def _flush_locked(self) -> None:
-        payload = {r.type.key: to_json_dict(r.poly) for r in self._data.values()}
+        payload = {t.key: to_json_dict(poly) for t, poly in self._data.items()}
         # written aside and renamed over the cache, so a failed write leaves
         # the previous file whole; the pid keeps processes sharing one cache
         # out of each other's temporary file
@@ -196,12 +188,12 @@ def configure_disk_cache(path: str | None) -> None:
     _CACHE.configure_disk(path)
 
 
-def indicator_moment(t: CyclePathType, bell_cap: int = DEFAULT_BELL_CAP) -> IndicatorMomentResult:
-    """f_{(mu,nu)} together with the expectation f / (n)_m; cached by type."""
+def indicator_moment(t: CyclePathType, bell_cap: int = DEFAULT_BELL_CAP) -> Poly:
+    """f_{(mu,nu)}, cached by type; f / (n)_m is the expectation."""
     return _CACHE.get_or_compute(t, bell_cap)
 
 
-def _compute(t: CyclePathType) -> IndicatorMomentResult:
+def _compute(t: CyclePathType) -> Poly:
     path_factor = mobius_count_poly(CyclePathType((), t.paths).representative())
     # the paths avoid the |mu| points and the a_c cycles the pattern's cycles took
     shift = {0: N - sum(t.cycles)}
@@ -214,7 +206,7 @@ def _compute(t: CyclePathType) -> IndicatorMomentResult:
             f"indicator polynomial for {t.key} has graded degree "
             f"{poly.graded_degree()}, expected {k}"
         )
-    return _make_result(t, poly)
+    return poly
 
 
 def _cycle_factor(cycles: tuple[int, ...]) -> Poly:
@@ -241,16 +233,6 @@ def mobius_count_poly(p: PartialPermutation) -> Poly:
     return poly
 
 
-def _make_result(t: CyclePathType, poly: Poly) -> IndicatorMomentResult:
-    m = t.support_size
-    return IndicatorMomentResult(
-        type=t,
-        m=m,
-        poly=poly,
-        expectation=RationalExpectation(poly, (m,) if m else ()),
-    )
-
-
 def indicator_expectation(p: PartialPermutation, lam, bell_cap: int = DEFAULT_BELL_CAP) -> Fraction:
     """P[pi(i_t) = j_t for all t] for pi uniform on the class of lambda."""
     lam = tuple(lam)
@@ -259,8 +241,9 @@ def indicator_expectation(p: PartialPermutation, lam, bell_cap: int = DEFAULT_BE
         raise MalformedInputError(
             f"support {p.support} exceeds the ground set [{n}]"
         )
-    result = indicator_moment(p.cycle_path_type(), bell_cap)
-    return result.expectation.evaluate_at(lam)
+    t = p.cycle_path_type()
+    f = indicator_moment(t, bell_cap)
+    return f.evaluate(evaluation_point(lam)) / falling_factorial_value(n, t.support_size)
 
 
 def _type_from_key(key: str) -> CyclePathType:

@@ -174,14 +174,14 @@ def component_type(edges: dict[int, int], vertices: set[int]) -> CyclePathType:
 def covering_injections(m: int, l: int):
     """Yield (a, b): increasing m- and l-tuples covering [r], for every r
     from max(m, l) to m + l; these are the order-preserving injections of two
-    supports into their union [r]."""
+    supports into their union [r].  b holds the r - m points a misses and
+    m + l - r points of a."""
     for r in range(max(m, l), m + l + 1):
         universe = range(1, r + 1)
         for a in combinations(universe, m):
-            needed = set(universe) - set(a)
-            for b in combinations(universe, l):
-                if needed <= set(b):
-                    yield a, b
+            missed = tuple(set(universe).difference(a))
+            for shared in combinations(a, m + l - r):
+                yield a, tuple(sorted(missed + shared))
 
 
 def push_adjacencies(constraints, a: tuple[int, ...]) -> set[int] | None:

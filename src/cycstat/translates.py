@@ -272,7 +272,7 @@ def class_expectation(sums: dict[CyclePathType, Poly], bell_cap: int = DEFAULT_B
     by_support: dict[int, Poly] = {}
     for t, S in sums.items():
         m = t.support_size
-        by_support[m] = by_support.get(m, ZERO) + S * indicator_moment(t, bell_cap).poly
+        by_support[m] = by_support.get(m, ZERO) + S * indicator_moment(t, bell_cap)
     return _over_falling(by_support)
 
 
@@ -294,7 +294,7 @@ def class_value(sums: dict[CyclePathType, Poly], lam, bell_cap: int = DEFAULT_BE
     for t, S in sums.items():
         m = t.support_size
         if m <= n:
-            f = indicator_moment(t, bell_cap).poly
+            f = indicator_moment(t, bell_cap)
             total += S.evaluate(point) * f.evaluate(point) / falling_factorial_value(n, m)
     return total
 

@@ -1,56 +1,52 @@
-"""Graded decomposition, scaled mean limits and variance limits."""
+"""The leading-degree ratio, scaled mean limits and variance limits."""
 
 from fractions import Fraction
 
-from cycstat.asymptotics import alpha_limit, decompose, variance_limit
+import pytest
+
+from cycstat.asymptotics import alpha_limit, limit_ratio, variance_limit
+from cycstat.errors import DivergenceError
 from cycstat.expectation import RationalExpectation
 from cycstat.patterns import cyc2, des, exc, fix, pattern_count
 from cycstat.poly import N, ONE, Poly, mvar
 from cycstat.translates import RegularStatistic
 
 ALPHA = Poly.variable(0)
+BETA = Poly.variable(1)
 
 
-class TestDecompose:
-    def test_excedance_mean_layer(self):
-        e = RationalExpectation(Fraction(1, 2) * (N - mvar(1)), ())
-        dec = decompose(e, p=1, q=0)
-        # layer 1 in the scaled variables: (1 - y1)/2
-        assert dec.leading == Poly({(): Fraction(1, 2), (1,): Fraction(-1, 2)})
-        assert dec.layer(0).is_zero
+class TestLimitRatio:
+    def test_mean_scaling(self):
+        # (n - m1) / (n)_1 with m1 = alpha*n tends to 1 - alpha
+        e = RationalExpectation(N - mvar(1), (1,))
+        assert limit_ratio(e, 0) == ONE - ALPHA
 
-    def test_constant(self):
-        dec = decompose(RationalExpectation(ONE, ()), p=0, q=0)
-        assert dec.leading == ONE
+    def test_two_cycle_density(self):
+        # m2 / (n)_1 with m2 = beta*n tends to beta
+        e = RationalExpectation(mvar(2), (1,))
+        assert limit_ratio(e, 0) == BETA
 
-    def test_two_cycle_layer(self):
-        dec = decompose(RationalExpectation(mvar(2), ()), p=2, q=0)
-        assert dec.leading == Poly({(0, 1): Fraction(1)})
+    def test_degree_drop_gives_zero(self):
+        e = RationalExpectation(mvar(2), (2,))
+        assert limit_ratio(e, 0).is_zero
 
-    def test_reassembly(self):
-        # sum over layers of n^(l - p - q) * g_l(m/n powers) rebuilds
-        # (n)_q * E / n^(p+q) exactly; checked at integer points
-        s = des()
-        e = s.moment(1)
-        p, q = s.power, s.shift
-        dec = decompose(e, p, q)
-        cleared = e.clear_falling(q)
-        for lam in [(5,), (3, 2), (2, 2, 1), (4, 1, 1)]:
-            n = sum(lam)
-            from cycstat.expectation import evaluation_point
+    def test_divergence_detected(self):
+        e = RationalExpectation(N**3, (1,))
+        with pytest.raises(DivergenceError):
+            limit_ratio(e, 1)
 
-            pt = evaluation_point(lam)
-            scaled = [Fraction(pt[i], n**max(i, 1)) for i in range(1, len(pt))]
-            total = sum(
-                Fraction(n) ** ell * dec.layer(ell).evaluate(scaled)
-                for ell in range(p + q + 1)
-            )
-            assert total == cleared.evaluate(pt)
+    def test_higher_m_variables_dropped(self):
+        # m3 = o(n^3) along the limiting sequences, so it contributes 0
+        e = RationalExpectation(mvar(3), (2,))
+        assert limit_ratio(e, 1).is_zero
 
 
 class TestAlphaLimit:
     def test_excedance(self):
         assert alpha_limit(exc()) == Fraction(1, 2) * (ONE - ALPHA)
+
+    def test_constant(self):
+        assert alpha_limit(RegularStatistic.constant(5)) == Poly.const(5)
 
     def test_two_cycle_statistic_vanishes(self):
         # m2 <= n/2 makes m2/n^2 -> 0

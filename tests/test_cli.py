@@ -6,6 +6,9 @@ import pytest
 
 from cycstat import indicator
 from cycstat.cli import main
+from cycstat.dsl import parse_statistic
+from cycstat.poly import to_json_dict
+from cycstat.translates import RegularStatistic, type_sums
 
 
 def run(capsys, *argv):
@@ -109,6 +112,21 @@ class TestVerify:
         )
         assert code == 0
         assert out.splitlines()[-1] == "9/9 cells passed"
+
+    def test_each_permutation_evaluated_once(self, capsys, monkeypatch):
+        calls = []
+        original = RegularStatistic.evaluate
+
+        def counting(self, pi):
+            calls.append(pi)
+            return original(self, pi)
+
+        monkeypatch.setattr(RegularStatistic, "evaluate", counting)
+        code, out, _ = run(capsys, "verify", "exc", "--nmax", "4", "-d", "3")
+        assert code == 0
+        assert out.splitlines()[-1] == "33/33 cells passed"
+        # the 1! + 2! + 3! + 4! permutations, once for all three orders
+        assert len(calls) == 33
 
 
 class TestExpand:
@@ -238,6 +256,20 @@ class TestDiskCache:
         code, out, err = run(capsys, "moment", "exc", "--cache", str(path))
         assert code == 2
         assert out == "" and "mu=[];nu=[1]" in err and str(path) in err
+
+    def test_warm_run_leaves_file_untouched(self, tmp_path, capsys, monkeypatch, fresh_cache):
+        # every type `moment exc` needs, in a layout the cache never writes
+        types = type_sums(parse_statistic("exc"))
+        content = json.dumps(
+            {t.key: to_json_dict(indicator.indicator_moment(t)) for t in types}, indent=2
+        ).encode()
+        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        path = tmp_path / "cache.json"
+        path.write_bytes(content)
+        code, out, _ = run(capsys, "moment", "exc", "--cache", str(path))
+        assert code == 0
+        assert "(n - m1) / 2" in out
+        assert path.read_bytes() == content
 
     def test_empty_file_is_empty_cache(self, tmp_path, capsys, fresh_cache):
         path = tmp_path / "cache.json"

@@ -1,22 +1,13 @@
-"""Rational expectations: falling-factorial denominators, evaluation, limits."""
+"""Rational expectations: falling-factorial denominators and evaluation."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cycstat.errors import DegenerateEvaluationError, DivergenceError, InternalConsistencyError
-from cycstat.expectation import (
-    RationalExpectation,
-    cycle_counts,
-    evaluation_point,
-    limit_ratio,
-)
-from cycstat.poly import N, ONE, Poly, mvar
-
-
-ALPHA = Poly.variable(0)
-BETA = Poly.variable(1)
+from cycstat.errors import DegenerateEvaluationError, InternalConsistencyError
+from cycstat.expectation import RationalExpectation, cycle_counts, evaluation_point
+from cycstat.poly import N, ONE, mvar
 
 
 class TestEvaluationPoint:
@@ -93,32 +84,6 @@ class TestRendering:
     def test_str_with_falling(self):
         e = RationalExpectation(mvar(1), (1,))
         assert str(e) == "m1 / (n)_1"
-
-
-class TestLimitRatio:
-    def test_mean_scaling(self):
-        # (n - m1) / (n)_1 with m1 = alpha*n tends to 1 - alpha
-        e = RationalExpectation(N - mvar(1), (1,))
-        assert limit_ratio(e, 0) == ONE - ALPHA
-
-    def test_two_cycle_density(self):
-        # m2 / (n)_1 with m2 = beta*n tends to beta
-        e = RationalExpectation(mvar(2), (1,))
-        assert limit_ratio(e, 0) == BETA
-
-    def test_degree_drop_gives_zero(self):
-        e = RationalExpectation(mvar(2), (2,))
-        assert limit_ratio(e, 0).is_zero
-
-    def test_divergence_detected(self):
-        e = RationalExpectation(N**3, (1,))
-        with pytest.raises(DivergenceError):
-            limit_ratio(e, 1)
-
-    def test_higher_m_variables_dropped(self):
-        # m3 = o(n^3) along the limiting sequences, so it contributes 0
-        e = RationalExpectation(mvar(3), (2,))
-        assert limit_ratio(e, 1).is_zero
 
 
 @given(

@@ -1,10 +1,14 @@
 """Golden CLI outputs: the SHA-256 of stdout and the exit code of quick
-commands, in text and JSON, recorded at commit b1660a3.
+commands, in text and JSON.  The first group was recorded at commit
+b1660a3; the second, the `limit --mean` and `limit --variance` outputs and
+the `expand` of exc^4 and cyc2^4, at commit a8f3444.
 
 A change to the engine that keeps its answers keeps these bytes.  The
-products (moments of order 2 and 3, the `expand` of squares) carry
-translates whose weights and adjacency constraints were moved through an
-injection; the `biv` square relabels non-constant weights of both factors.
+products (moments of order 2 and 3, the `expand` of squares and fourth
+powers) carry translates whose weights and adjacency constraints were moved
+through an injection; the `biv` square relabels non-constant weights of both
+factors.  The limits pin the leading-degree ratios of the mean and the
+variance, including a weighted sum of statistics and a constant.
 """
 
 import hashlib
@@ -14,6 +18,7 @@ import pytest
 from cycstat.cli import main
 
 GOLDEN = [
+    # recorded at b1660a3
     (("moment", "exc", "-d", "1"), 0,
      "d22bff504441049ac7a10732f87926efe89fc197f24d3dc1830797c20cfbd1d3"),
     (("moment", "exc", "-d", "1", "--json"), 0,
@@ -86,6 +91,59 @@ GOLDEN = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("verify", "exc", "--nmax", "9", "--json"), 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # recorded at a8f3444
+    (("limit", "des", "--mean"), 0,
+     "5d0c39ba2fb1289a71ac7918c57084f60d4744c5ea842371ce08aeea72f9b127"),
+    (("limit", "des", "--mean", "--json"), 0,
+     "d73793b3320a372ef0b659b467a72b2886a390eb570c6fe818d616e0dbcc71d4"),
+    (("limit", "maj", "--mean"), 0,
+     "20092517e3ffd2a6a9fd07ae2d7ce8f877cd57dfd3563d8adbf0e842ff880844"),
+    (("limit", "maj", "--mean", "--json"), 0,
+     "0790cbeba8e3d2a5dc4b077cb4a8846637f66fd3607135661aa9180b243f16d0"),
+    (("limit", "inv", "--mean"), 0,
+     "b82ff3f385980038cc3c9c8b260a4502a06ba1831fbb1453b8805b50ab95419c"),
+    (("limit", "inv", "--mean", "--json"), 0,
+     "f4389370aa10a5be52fa6e52f8327ff296fd9584f17ca3560dce983496c5f102"),
+    (("limit", "cyc2", "--mean"), 0,
+     "4968b14253ad4d4b2901f87d0562edd171a1db923cede9a6cddbe3366c209bec"),
+    (("limit", "cyc2", "--mean", "--json"), 0,
+     "57fbb9b7f587fcda91a98a5e573e7599a11f199fab33bc77873ca73d80b86776"),
+    (("limit", "fix", "--mean"), 0,
+     "bd7d3272bfba29a6579cd9173b466e802ef5af43d33aaa3a830b3448ee8935a8"),
+    (("limit", "fix", "--mean", "--json"), 0,
+     "0392a657b22fefaf6a5558e76937a0b06054c6a0afa33f6bc71c58ab27c5daa0"),
+    (("limit", "N(123)", "--mean"), 0,
+     "37fde8750cc90b25d5fa4e9237fa0e93d39d316a5cee71b01e5912f51f7b9143"),
+    (("limit", "N(123)", "--mean", "--json"), 0,
+     "e1514075d8f67e618770aebbe489fb4abc19488680bbaaaf4014d02e23ee94d0"),
+    (("limit", "2*exc + 1/2*fix", "--mean"), 0,
+     "61f8664e42e7bfb56b28e8fcfba6eed55c7207e1689e5c1addc0e56fc970f906"),
+    (("limit", "2*exc + 1/2*fix", "--mean", "--json"), 0,
+     "df6d983f51648ac42001707b2dd1b63b5aec3642f343ca1c232a6bb0532cf531"),
+    (("limit", "3", "--mean"), 0,
+     "2143813be92907c1ac4db972043de3461ad9c7f1b6ad846937fbc7f681c959d4"),
+    (("limit", "3", "--mean", "--json"), 0,
+     "23e8fcd801b7e44a24241fa4958588aae05ecd43283793a8cfc3ff8e5d047569"),
+    (("limit", "des", "--variance"), 0,
+     "0ee1ed3bf366d81351f55b5787b2babc49c1aa0cc74156fa3b3cdaff59cf1181"),
+    (("limit", "des", "--variance", "--json"), 0,
+     "de41b44bb5333a76c47ff999e02273e9adfa73f920f27c8701a3a5729a56f329"),
+    (("limit", "maj", "--variance"), 0,
+     "084325cda38758f33499a7d68f5c4f3c0cd8df041d59e20b39f6d9a96d34f7e5"),
+    (("limit", "maj", "--variance", "--json"), 0,
+     "8ae5408b5674c8df65b98899cbefdd4575386cead2ffbc6cea9c4c374cf24d05"),
+    (("limit", "exc - des", "--variance"), 0,
+     "57f5f0e1bc7eee721720f1ab03bbdb8c4ac1f6e981f39b6d1a69557cbd5b11f0"),
+    (("limit", "exc - des", "--variance", "--json"), 0,
+     "8df598dcdf6e6024c0224bc7fc46f2362293fa33b39b5527c35e34c946bdb605"),
+    (("expand", "exc^4"), 0,
+     "1e2bda760419649af2e4e3626246279c7d2f931fe85de7e83b03c636d162eef0"),
+    (("expand", "exc^4", "--json"), 0,
+     "aeb1d1d5286fc9a3d6cbc6d5596ba9ff032ff2428bf73304d8fc04172fc52897"),
+    (("expand", "cyc2^4"), 0,
+     "489e063126fc0555bb5aad65409c4f96514f2ea3519b183b277a317b87f48541"),
+    (("expand", "cyc2^4", "--json"), 0,
+     "d52c58b7c8324a474946d6687977b8b73c2c182a4bc9c5fcbea8e5fd7dc61a57"),
 ]
 
 

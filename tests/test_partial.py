@@ -1,10 +1,12 @@
 """Partial permutations, cycle-path types, packing and relabeling."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
 from cycstat.errors import MalformedInputError, SizeMismatchError
-from cycstat.partial import CyclePathType, PartialPermutation, relabel
+from cycstat.partial import CyclePathType, PartialPermutation, covering_injections, relabel
 
 
 class TestConstruction:
@@ -122,3 +124,24 @@ def test_relabeling_invariance(support_extra, perm):
 
 def test_str_form():
     assert str(PartialPermutation((1, 2), (2, 1))) == "(1,2)(2,1)"
+
+
+def _covering_pairs_by_filter(m, l):
+    """The definition: every pair of increasing m- and l-tuples in [r] whose
+    union is [r], for max(m, l) <= r <= m + l."""
+    out = []
+    for r in range(max(m, l), m + l + 1):
+        universe = set(range(1, r + 1))
+        for a in combinations(sorted(universe), m):
+            for b in combinations(sorted(universe), l):
+                if set(a) | set(b) == universe:
+                    out.append((a, b))
+    return out
+
+
+@pytest.mark.parametrize("m", range(6))
+@pytest.mark.parametrize("l", range(6))
+def test_covering_injections_match_filter_definition(m, l):
+    pairs = list(covering_injections(m, l))
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == set(_covering_pairs_by_filter(m, l))
