@@ -381,18 +381,3 @@ def integerize(p: Poly) -> tuple[Poly, int]:
         q //= g
     return _raw({e: Fraction(c) for e, c in scaled.items()}), q
 
-
-def interpolate(points: list[tuple[int, Fraction]]) -> Poly:
-    """Exact univariate interpolation in n through the given (x, y) points,
-    via Newton divided differences."""
-    xs = [Fraction(x) for x, _ in points]
-    coeffs = [Fraction(y) for _, y in points]
-    for j in range(1, len(points)):
-        for i in range(len(points) - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    poly = ZERO
-    basis = ONE
-    for j, c in enumerate(coeffs):
-        poly = poly + Poly.const(c) * basis
-        basis = basis * (N - Poly.const(xs[j]))
-    return poly

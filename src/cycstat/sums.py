@@ -3,9 +3,22 @@
 For a weight f(x_1..x_k) and C a set of forced adjacencies (i in C means
 the i-th and (i+1)-st chosen elements are consecutive integers), the sum of
 f over all C-constrained k-subsets of [n] is a polynomial S(n) of degree
-deg f + k - |C|, and S(n) = fbar(n) * binom(n - q, k - q) exactly with
-deg fbar = deg f.  We obtain S by evaluating at enough integer points and
-interpolating, then certify the factorization by exact division.
+deg f + k - q, q = |C|, and S(n) = fbar(n) * binom(n - q, k - q) exactly
+with deg fbar = deg f.
+
+We obtain S in closed form.  Contracting each run of forced adjacencies
+turns a C-constrained k-subset x of [n] into an r-subset z_1 < ... < z_r of
+[n - q], r = k - q, with x_i = z_j + (the number of constraints before i)
+for i in run j.  A monomial of f then splits into one factor per run, and
+the nested sum over the run starts is carried as coefficients g_j over the
+basis binom(z - 1, j), z the start of the current run:
+
+    (z + s) * binom(z-1, j) = (j+1) * binom(z-1, j+1) + (j+1+s) * binom(z-1, j)
+    sum_{z < t} binom(z-1, j) = binom(t-1, j+1)
+
+so S = sum_j g_j * binom(n - q, j).  Two checks certify the result: S must
+equal the direct sum of f over the constrained subsets at n = k + 1 and
+n = k + 2, and S must divide exactly by binom(n - q, k - q).
 """
 
 from __future__ import annotations
@@ -13,10 +26,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
 
-from .errors import InternalConsistencyError
-from .poly import N, Poly, divide_exact_in_n, interpolate
+from .errors import InternalConsistencyError, ResourceLimitError
+from .poly import N, ONE, ZERO, Poly, divide_exact_in_n
+
+# the largest degree deg f + k - q of one constrained sum; the work grows as
+# the square of the degree, so a higher degree is refused before it starts
+MAX_SUM_DEGREE = 200
 
 
 def constrained_subsets(n: int, k: int, C: frozenset[int]):
@@ -31,12 +47,12 @@ def constrained_subsets(n: int, k: int, C: frozenset[int]):
             yield combo
 
 
+@lru_cache(maxsize=None)
 def binomial_poly(q: int, r: int) -> Poly:
     """binom(n - q, r) as a polynomial in n."""
-    out = Poly.const(Fraction(1, factorial(r)))
-    for j in range(r):
-        out = out * (N - Poly.const(q + j))
-    return out
+    if r == 0:
+        return ONE
+    return binomial_poly(q, r - 1) * ((N - Poly.const(q + r - 1)) * Fraction(1, r))
 
 
 @lru_cache(maxsize=4096)
@@ -47,20 +63,34 @@ def constrained_sum(f: Poly, k: int, C: frozenset[int]) -> tuple[Poly, Poly]:
     if not C <= set(range(1, k)):
         raise ValueError(f"constraints {sorted(C)} not inside [{k - 1}]")
     q = len(C)
-    deg_f = f.total_degree()
-    if deg_f == -float("inf"):
-        deg_f = 0  # zero weight: S is identically zero, handled below
-    npoints = int(deg_f) + (k - q) + 1
-    # contracting each forced adjacency run turns the index set into a
-    # (k-q)-subset of [n-q], so the sum agrees with its polynomial extension
-    # exactly when n >= q; sample there
-    points = []
-    for n in range(q, q + npoints):
-        total = Fraction(0)
-        for combo in constrained_subsets(n, k, C):
-            total += f.evaluate(combo)
-        points.append((n, total))
-    S = interpolate(points)
+    degree = max(f.total_degree(), 0) + k - q
+    if degree > MAX_SUM_DEGREE:
+        raise ResourceLimitError(
+            f"constrained sum of degree {degree} (deg f + k - q) exceeds "
+            f"the cap {MAX_SUM_DEGREE}"
+        )
+    total = [0] * (degree + 1)
+    for exps, coef in f.terms.items():
+        g, shift = [1], 0
+        for i in range(1, k + 1):
+            for _ in range(exps[i - 1] if i <= len(exps) else 0):
+                # multiply by x_i = z + shift in the basis binom(z-1, j)
+                g = [(j + 1 + shift) * a + j * b
+                     for j, (a, b) in enumerate(zip(g + [0], [0] + g))]
+            if i in C:
+                shift += 1
+            else:
+                g = [0] + g
+        for j, c in enumerate(g):
+            total[j] += coef * c
+    S = sum((c * binomial_poly(q, j) for j, c in enumerate(total) if c), ZERO)
+    for n in (k + 1, k + 2):
+        direct = sum((f.evaluate(x) for x in constrained_subsets(n, k, C)), Fraction(0))
+        if S.evaluate((n,)) != direct:
+            raise InternalConsistencyError(
+                f"constrained sum disagrees with the direct sum at n={n}; "
+                f"k={k}, C={sorted(C)}"
+            )
     fbar = divide_exact_in_n(S, binomial_poly(q, k - q))
     if fbar is None:
         raise InternalConsistencyError(

@@ -1,10 +1,11 @@
 """Command-line interface: output forms and the exit-code contract."""
 
 import json
+import time
 
 import pytest
 
-from cycstat import indicator
+from cycstat import indicator, sums
 from cycstat.cli import main
 from cycstat.dsl import parse_statistic
 from cycstat.poly import to_json_dict
@@ -190,6 +191,21 @@ class TestExitCodes:
             "moment d=1: (720*m2 - 1764*m2^2 + 1624*m2^3 - 735*m2^4"
             " + 175*m2^5 - 21*m2^6 + m2^7) / 681080400"
         )
+
+    def test_weight_degree_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "moment", "T(U=(1);V=(2);C={};f=x1^99999999)")
+        assert code == 3
+        assert time.perf_counter() - start < 5
+        assert out == ""
+        assert "constrained sum of degree 100000001" in err
+
+    def test_weight_one_degree_over_the_cap(self, capsys):
+        # support 2 and no constraint: deg S = deg f + 2
+        f = f"x1^{sums.MAX_SUM_DEGREE - 1}"
+        code, _, err = run(capsys, "moment", f"T(U=(1);V=(2);C={{}};f={f})")
+        assert code == 3
+        assert f"degree {sums.MAX_SUM_DEGREE + 1}" in err
 
     def test_bad_moment_order(self, capsys):
         code, _, _ = run(capsys, "moment", "exc", "-d", "0")

@@ -1,14 +1,18 @@
 """Golden CLI outputs: the SHA-256 of stdout and the exit code of quick
 commands, in text and JSON.  The first group was recorded at commit
 b1660a3; the second, the `limit --mean` and `limit --variance` outputs and
-the `expand` of exc^4 and cyc2^4, at commit a8f3444.
+the `expand` of exc^4 and cyc2^4, at commit a8f3444; the third, the
+weighted and adjacency-constrained sums, at commit 3568f55.
 
 A change to the engine that keeps its answers keeps these bytes.  The
 products (moments of order 2 and 3, the `expand` of squares and fourth
 powers) carry translates whose weights and adjacency constraints were moved
 through an injection; the `biv` square relabels non-constant weights of both
 factors.  The limits pin the leading-degree ratios of the mean and the
-variance, including a weighted sum of statistics and a constant.
+variance, including a weighted sum of statistics and a constant.  The third
+group pins constrained sums: a sixth-power weight, weights on positions and
+values constrained together, a run of three forced adjacencies, and a
+translate whose support exceeds n at the evaluated class.
 """
 
 import hashlib
@@ -144,6 +148,35 @@ GOLDEN = [
      "489e063126fc0555bb5aad65409c4f96514f2ea3519b183b277a317b87f48541"),
     (("expand", "cyc2^4", "--json"), 0,
      "d52c58b7c8324a474946d6687977b8b73c2c182a4bc9c5fcbea8e5fd7dc61a57"),
+    # recorded at 3568f55
+    (("moment", "biv(1;A={};B={};f=x1^6;g=1)", "-d", "2"), 0,
+     "d6653170a4edf63b94d0d56977ac374740e749576c79ab8eec3bb43866ecd3ce"),
+    (("moment", "biv(1;A={};B={};f=x1^6;g=1)", "-d", "2", "--json"), 0,
+     "cb0e85818fab1762fd33a5ea1fad6712c082f178a40371b46bcb7a209b83b9f6"),
+    (("moment", "biv(21;A={1};B={};f=x1^2;g=x2^2)", "-d", "1"), 0,
+     "3ea2c990ade6f8e6d9664c1c203194dfc8b37565679595f0aaebdb8f3768b344"),
+    (("moment", "biv(21;A={1};B={};f=x1^2;g=x2^2)", "-d", "1", "--json"), 0,
+     "c8d8717aaf090c34db0a2e0c97b914fd435d50b78af63c54b78928392f840ca6"),
+    (("moment", "biv(12;A={1};B={1};f=x1*x2;g=x1+x2)", "-d", "1"), 0,
+     "5ba6e0308966fa5fc3cf03ff6e49f44cfa35412d6899e9b176d9949daa8b428d"),
+    (("moment", "biv(12;A={1};B={1};f=x1*x2;g=x1+x2)", "-d", "1", "--json"), 0,
+     "2c56e5c6e722b273c9ab1cf9a5463bd64218572554b078edb89647c3b119cdab"),
+    (("moment", "T(U=(1,2);V=(2,3);C={1};f=x2)", "-d", "1", "--lambda", "2"), 0,
+     "f5492dae6fc63a482148642e566aba409c8eb7cea066586057b0924bf3f4c3a1"),
+    (("moment", "T(U=(1,2);V=(2,3);C={1};f=x2)", "-d", "1", "--lambda", "2", "--json"), 0,
+     "953fafd25cfacee8dc4416f0b9ca9e25e96665e93a695df642d43187e2c227f1"),
+    (("moment", "N(123;A={1,2})", "-d", "1"), 0,
+     "c65efda1b5071a5007b2f6386a9d6248bc78e89936cf0b1e859a0cfb589b7c9c"),
+    (("moment", "N(123;A={1,2})", "-d", "1", "--json"), 0,
+     "02e38aebcc1b569d8c1e584b1efc7e158a63dbf35771e3f5bf2e18b48236651f"),
+    (("moment", "maj", "-d", "2", "--lambda", "3,1"), 0,
+     "93216c3a9217c42b4a68f6372168412251cbe0b70bc94a91c402f2144b73bcfd"),
+    (("moment", "maj", "-d", "2", "--lambda", "3,1", "--json"), 0,
+     "271e3624397617af99fc808b7f424be91df698cfecd9798b84c8d7c0a274f1fb"),
+    (("verify", "biv(12;A={1};B={1};f=x1*x2;g=x1+x2)", "--nmax", "5", "-d", "2"), 0,
+     "c7680adfa30706cc672ddd6fd7effeaf460eae4498aa3f6f496584d009fe96a6"),
+    (("verify", "biv(12;A={1};B={1};f=x1*x2;g=x1+x2)", "--nmax", "5", "-d", "2", "--json"), 0,
+     "5ee08fa695efb90416e3c0a278baa7f10bae89f769242e7814e93aecf3d695c6"),
 ]
 
 

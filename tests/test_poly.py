@@ -16,7 +16,6 @@ from cycstat.poly import (
     falling_factorial_value,
     from_json_dict,
     integerize,
-    interpolate,
     mvar,
     to_json_dict,
     to_text,
@@ -116,17 +115,6 @@ class TestFallingFactorials:
 
     def test_division_with_remainder_is_none(self):
         assert divide_exact_in_n(N + ONE, falling_factorial_poly(2)) is None
-
-
-class TestInterpolation:
-    def test_quadratic(self):
-        pts = [(0, Fraction(0)), (1, Fraction(1)), (2, Fraction(4))]
-        assert interpolate(pts) == N**2
-
-    def test_shifted_nodes(self):
-        # nodes need not start at zero
-        pts = [(3, Fraction(7)), (4, Fraction(9)), (5, Fraction(11))]
-        assert interpolate(pts) == 2 * N + ONE
 
 
 class TestRendering:

@@ -1,11 +1,43 @@
 """Constrained power sums over adjacency-constrained subsets."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cycstat import sums
+from cycstat.errors import InternalConsistencyError, ResourceLimitError
 from cycstat.poly import N, ONE, Poly, xvar
 from cycstat.sums import binomial_poly, constrained_subsets, constrained_sum
+
+# every (k, C) with k <= 5 and C a subset of [k-1]
+SHAPES = [
+    (k, frozenset(C))
+    for k in range(6)
+    for size in range(max(k, 1))
+    for C in combinations(range(1, k), size)
+]
+
+
+def weights(k):
+    """Up to three terms with rational coefficients; each term is a product
+    of at most four of x_1..x_k, so every exponent is at most 4."""
+    term = st.tuples(
+        st.fractions(min_value=-5, max_value=5, max_denominator=4),
+        st.lists(st.integers(1, k), max_size=4) if k else st.just([]),
+    )
+    return st.lists(term, min_size=1, max_size=3).map(
+        lambda terms: sum(
+            (c * Poly({tuple(xs.count(i) for i in range(1, k + 1)): 1}) for c, xs in terms),
+            Poly(),
+        )
+    )
+
+
+def direct_sum(f, n, k, C):
+    return sum((f.evaluate(x) for x in constrained_subsets(n, k, C)), Fraction(0))
 
 
 class TestConstrainedSubsets:
@@ -86,3 +118,67 @@ def test_binomial_poly_values():
     for n in range(8):
         assert binomial_poly(1, 1).evaluate((n,)) == n - 1
         assert binomial_poly(0, 2).evaluate((n,)) == n * (n - 1) // 2
+
+
+def test_binomial_poly_matches_comb():
+    for q in range(4):
+        for r in range(13):
+            for n in range(q, q + 16):
+                assert binomial_poly(q, r).evaluate((n,)) == comb(n - q, r), (q, r, n)
+
+
+@pytest.mark.parametrize("k, C", SHAPES, ids=[f"k{k}-C{sorted(C)}" for k, C in SHAPES])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_closed_form_matches_direct_summation(k, C, data):
+    # more points than determine S, starting at n = q, so n < k (an empty
+    # sum) is included whenever q < k
+    f = data.draw(weights(k))
+    S, fbar = constrained_sum(f, k, C)
+    q = len(C)
+    for n in range(q, q + max(S.total_degree(), 0) + 3):
+        assert S.evaluate((n,)) == direct_sum(f, n, k, C), (f, k, C, n)
+    assert S == fbar * binomial_poly(q, k - q)
+
+
+def test_direct_check_is_wired(monkeypatch):
+    full = sums.constrained_subsets
+
+    def all_but_last(n, k, C):
+        return list(full(n, k, C))[:-1]
+
+    monkeypatch.setattr(sums, "constrained_subsets", all_but_last)
+    constrained_sum.cache_clear()
+    try:
+        with pytest.raises(InternalConsistencyError, match="direct sum"):
+            constrained_sum(xvar(1), 2, frozenset())
+    finally:
+        constrained_sum.cache_clear()
+
+
+class TestDegreeCap:
+    @pytest.fixture
+    def cap(self, monkeypatch):
+        # a small cap keeps the sums at it cheap; the cache is cleared so that
+        # no sum computed under another cap is returned
+        monkeypatch.setattr(sums, "MAX_SUM_DEGREE", 10)
+        constrained_sum.cache_clear()
+        yield 10
+        constrained_sum.cache_clear()
+
+    def test_at_the_cap(self, cap):
+        S, _ = constrained_sum(xvar(1) ** (cap - 1), 1, frozenset())
+        assert S.total_degree() == cap
+
+    def test_one_over_the_cap(self, cap):
+        with pytest.raises(ResourceLimitError):
+            constrained_sum(xvar(1) ** cap, 1, frozenset())
+
+    def test_constraints_lower_the_degree(self, cap):
+        # deg f + k = cap + 2, deg S = deg f + k - q = cap
+        S, _ = constrained_sum(xvar(1) ** (cap - 1), 3, frozenset({1, 2}))
+        assert S.total_degree() == cap
+
+    def test_refused_before_any_work(self):
+        with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+            constrained_sum(xvar(1) ** 99999999, 2, frozenset())
