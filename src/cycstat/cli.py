@@ -25,7 +25,6 @@ from .errors import (
 )
 from .oracle import DEFAULT_N_CAP, class_moment, partitions
 from .poly import to_json_dict, to_text
-from .translates import class_value, type_sums
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -50,7 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSON disk cache for indicator polynomials")
         p.add_argument("--bell-cap", type=int, default=indicator.DEFAULT_BELL_CAP,
                        help="most path vertices of one indicator polynomial "
-                       "(set-partition cap)")
+                       "(set-partition cap), 0 to "
+                       f"{indicator.DEFAULT_BELL_CAP}")
 
     p = sub.add_parser("moment", help="symbolic d-th class moment")
     common(p)
@@ -121,8 +121,8 @@ def _cmd_moment(args, stat) -> int:
     payload = _base_payload(args, stat)
     payload["result"] = result.to_json_dict()
     if not args.variance:
-        bound = d * (stat.power + stat.shift)
-        degree = result.clear_falling(d * stat.shift).graded_degree()
+        cleared, bound = stat.cleared_moment(result, d)
+        degree = cleared.graded_degree()
         lines.append(f"graded degree {degree} (bound {bound})")
         payload["result"] |= {"degree": str(degree), "bound": bound}
     if args.lam is not None:
@@ -173,7 +173,6 @@ def _cmd_verify(args, stat) -> int:
         raise MalformedInputError("--nmax must be >= 1")
     if args.d < 1:
         raise MalformedInputError("-d must be >= 1")
-    sums = {d: type_sums(stat**d) for d in range(1, args.d + 1)}
     failures = 0
     cells = []
     for n in range(1, args.nmax + 1):
@@ -182,7 +181,7 @@ def _cmd_verify(args, stat) -> int:
             # cache per class holds one class's values at a time
             evaluate = functools.cache(stat.evaluate)
             for d in range(1, args.d + 1):
-                engine = class_value(sums[d], lam, args.bell_cap)
+                engine = stat.moment_at(lam, d, args.bell_cap)
                 oracle = class_moment(evaluate, lam, d)
                 ok = engine == oracle
                 failures += 0 if ok else 1
@@ -224,6 +223,10 @@ def _cmd_expand(args, stat) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.bell_cap > indicator.DEFAULT_BELL_CAP:
+            raise ResourceLimitError(f"--bell-cap is capped at {indicator.DEFAULT_BELL_CAP}")
+        if args.bell_cap < 0:
+            raise MalformedInputError("--bell-cap must be >= 0")
         if args.cache:
             indicator.configure_disk_cache(args.cache)
         stat = parse_statistic(args.expr)

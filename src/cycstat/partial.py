@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .errors import MalformedInputError, SizeMismatchError
 
@@ -182,6 +183,11 @@ def covering_injections(m: int, l: int):
             missed = tuple(set(universe).difference(a))
             for shared in combinations(a, m + l - r):
                 yield a, tuple(sorted(missed + shared))
+
+
+def placements(m: int, l: int) -> int:
+    """How many pairs covering_injections(m, l) yields."""
+    return sum(comb(r, m) * comb(m, m + l - r) for r in range(max(m, l), m + l + 1))
 
 
 def push_adjacencies(constraints, a: tuple[int, ...]) -> set[int] | None:

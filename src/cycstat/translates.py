@@ -6,24 +6,37 @@ agrees with the relabeled partial permutation (L(U), L(V)).  Regular
 statistics are linear combinations of translates; they are closed under
 products.
 
-Every moment reads one grouping of the expanded statistic, type_sums: the
-constrained sums S(n) of its translates added up per cycle-path type
-(mu, nu).  A translate's class expectation is S * f_{(mu,nu)} / (n)_m, and
-f and the support size m depend on the type alone; its uniform expectation
-is S / (n)_k for k pairs.
+A statistic builds each power Psi^d once and keeps it, and every moment
+reads one grouping of it, type_sums: the constrained sums S(n) of its
+translates added up per cycle-path type (mu, nu).  A translate's class
+expectation is S * f_{(mu,nu)} / (n)_m, and f and the support size m depend
+on the type alone; its uniform expectation is S / (n)_k for k pairs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
-from .errors import InternalConsistencyError, MalformedInputError
+from .errors import InternalConsistencyError, MalformedInputError, ResourceLimitError
 from .expectation import RationalExpectation, ZERO_EXPECTATION, evaluation_point
 from .indicator import DEFAULT_BELL_CAP, indicator_moment
-from .partial import CyclePathType, PartialPermutation, covering_injections, push_adjacencies
+from .partial import CyclePathType, PartialPermutation, covering_injections, placements, push_adjacencies
 from .poly import ZERO, Poly, falling_factorial_value, to_text, WEIGHT_VARS
 from .sums import constrained_subsets, constrained_sum
+
+# Most placements (pairs from covering_injections, over all pairs of
+# translates) one product may try; at about 30 us each, about 10 s.
+# cyc2^5 * cyc2 tries 225,481 and exc^5 * exc 545,731.
+MAX_PLACEMENTS = 300_000
+
+# Highest power built.  Every power is kept, and a product of constants tries
+# one placement, so without it c^d would keep d ever longer coefficients.
+MAX_EXPONENT = 100
 
 
 @dataclass(frozen=True)
@@ -174,6 +187,13 @@ class RegularStatistic:
 
     def __mul__(self, other):
         if isinstance(other, RegularStatistic):
+            sizes, others = (Counter(t.support_size for t in s.translates) for s in (self, other))
+            tries = sum(i * j * placements(m, l) for m, i in sizes.items() for l, j in others.items())
+            if tries > MAX_PLACEMENTS:
+                raise ResourceLimitError(
+                    f"a product of {len(self.translates)} by {len(other.translates)} "
+                    f"translates tries {tries} placements; the cap is {MAX_PLACEMENTS}"
+                )
             parts: list[ConstrainedTranslate] = []
             for t1 in self.translates:
                 for t2 in other.translates:
@@ -182,12 +202,29 @@ class RegularStatistic:
         return self.__rmul__(other)
 
     def __pow__(self, d: int) -> "RegularStatistic":
+        """Psi^d, built once as Psi^(d-1) * Psi and kept; setdefault makes
+        concurrent callers agree on one object."""
         if d < 1:
             raise ValueError("powers start at 1")
+        if d > MAX_EXPONENT:
+            raise ResourceLimitError(f"exponent {d} exceeds the cap {MAX_EXPONENT}")
+        powers = self.__dict__.setdefault("_powers", {})
         out = self
-        for _ in range(d - 1):
-            out = out * self
+        for k in range(2, d + 1):
+            known = powers.get(k)
+            out = known if known is not None else powers.setdefault(k, out * self)
         return out
+
+    @cached_property
+    def type_sums(self) -> Mapping[CyclePathType, Poly]:
+        """This statistic grouped by cycle-path type: the sum of the
+        constrained sums S(n) of its translates of each type."""
+        sums: dict[CyclePathType, Poly] = {}
+        for t in self.translates:
+            S, _ = constrained_sum(t.weight, t.support_size, t.constraints)
+            key = t.packed.cycle_path_type()
+            sums[key] = sums.get(key, ZERO) + S
+        return MappingProxyType(sums)
 
     # -- evaluation ---------------------------------------------------
 
@@ -198,15 +235,10 @@ class RegularStatistic:
 
     def expectation(self, bell_cap: int = DEFAULT_BELL_CAP) -> RationalExpectation:
         """E_lambda of this statistic, symbolically."""
-        return class_expectation(type_sums(self), bell_cap)
+        return class_expectation(self.type_sums, bell_cap)
 
-    def moment(self, d: int, bell_cap: int = DEFAULT_BELL_CAP) -> RationalExpectation:
-        """E_lambda[Psi^d] symbolically; certifies that (n)_{dq} times the
-        result is a polynomial of graded degree <= d(p + q)."""
-        if d < 1:
-            raise ValueError("moments start at d = 1")
-        expansion = self**d
-        result = expansion.expectation(bell_cap)
+    def cleared_moment(self, result: RationalExpectation, d: int) -> tuple[Poly, int]:
+        """(n)_{dq} * E[Psi^d] and the bound d(p + q) on its graded degree, certified."""
         cleared = result.clear_falling(d * self.shift)
         bound = d * (self.power + self.shift)
         if cleared.graded_degree() > bound:
@@ -214,14 +246,18 @@ class RegularStatistic:
                 f"moment degree {cleared.graded_degree()} exceeds the bound "
                 f"{bound} (d={d}, p={self.power}, q={self.shift})"
             )
+        return cleared, bound
+
+    def moment(self, d: int, bell_cap: int = DEFAULT_BELL_CAP) -> RationalExpectation:
+        """E_lambda[Psi^d] symbolically, certified by cleared_moment."""
+        result = (self**d).expectation(bell_cap)
+        self.cleared_moment(result, d)
         return result
 
     def moment_at(self, lam, d: int = 1, bell_cap: int = DEFAULT_BELL_CAP) -> Fraction:
         """E_lambda[Psi^d] as an exact rational, valid for every n (small
         ground sets included)."""
-        if d < 1:
-            raise ValueError("moments start at d = 1")
-        return class_value(type_sums(self**d), lam, bell_cap)
+        return class_value((self**d).type_sums, lam, bell_cap)
 
     def variance_at(self, lam, bell_cap: int = DEFAULT_BELL_CAP) -> Fraction:
         mean = self.moment_at(lam, 1, bell_cap)
@@ -229,19 +265,11 @@ class RegularStatistic:
 
     def uniform_moment(self, d: int) -> RationalExpectation:
         """E over all of S_n of Psi^d; a rational expectation in n only."""
-        if d < 1:
-            raise ValueError("moments start at d = 1")
-        out = uniform_expectation(type_sums(self**d))
-        cleared = out.clear_falling(d * self.shift)
+        out = uniform_expectation((self**d).type_sums)
+        cleared, _ = self.cleared_moment(out, d)
         if any(any(e for e in exps[1:]) for exps in cleared.terms):
             raise InternalConsistencyError(
                 "uniform moment is not a function of n alone"
-            )
-        bound = d * (self.power + self.shift)
-        if cleared.graded_degree() > bound:
-            raise InternalConsistencyError(
-                f"uniform moment degree {cleared.graded_degree()} exceeds "
-                f"the bound {bound}"
             )
         return out
 
@@ -255,18 +283,7 @@ class RegularStatistic:
         return " + ".join(str(t) for t in self.translates)
 
 
-def type_sums(stat: RegularStatistic) -> dict[CyclePathType, Poly]:
-    """Group an expanded statistic by cycle-path type: the sum of the
-    constrained sums S(n) of its translates of each type."""
-    sums: dict[CyclePathType, Poly] = {}
-    for t in stat.translates:
-        S, _ = constrained_sum(t.weight, t.support_size, t.constraints)
-        key = t.packed.cycle_path_type()
-        sums[key] = sums.get(key, ZERO) + S
-    return sums
-
-
-def class_expectation(sums: dict[CyclePathType, Poly], bell_cap: int = DEFAULT_BELL_CAP) -> RationalExpectation:
+def class_expectation(sums: Mapping[CyclePathType, Poly], bell_cap: int = DEFAULT_BELL_CAP) -> RationalExpectation:
     """E_lambda symbolically: for each support size m, sum S * f over the
     types and normalise over (n)_m once."""
     by_support: dict[int, Poly] = {}
@@ -276,7 +293,7 @@ def class_expectation(sums: dict[CyclePathType, Poly], bell_cap: int = DEFAULT_B
     return _over_falling(by_support)
 
 
-def uniform_expectation(sums: dict[CyclePathType, Poly]) -> RationalExpectation:
+def uniform_expectation(sums: Mapping[CyclePathType, Poly]) -> RationalExpectation:
     """E over all of S_n: each indicator of k pairs has probability 1/(n)_k."""
     by_size: dict[int, Poly] = {}
     for t, S in sums.items():
@@ -284,7 +301,7 @@ def uniform_expectation(sums: dict[CyclePathType, Poly]) -> RationalExpectation:
     return _over_falling(by_size)
 
 
-def class_value(sums: dict[CyclePathType, Poly], lam, bell_cap: int = DEFAULT_BELL_CAP) -> Fraction:
+def class_value(sums: Mapping[CyclePathType, Poly], lam, bell_cap: int = DEFAULT_BELL_CAP) -> Fraction:
     """Exact E_lambda at the cycle type lam, for every n.  A type of support
     m > n contributes 0, since [n] has no m-subsets (the symbolic ratio is
     0/0 there), so its indicator polynomial is never computed."""

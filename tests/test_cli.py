@@ -5,11 +5,11 @@ import time
 
 import pytest
 
-from cycstat import indicator, sums
+from cycstat import indicator, sums, translates
 from cycstat.cli import main
 from cycstat.dsl import parse_statistic
 from cycstat.poly import to_json_dict
-from cycstat.translates import RegularStatistic, type_sums
+from cycstat.translates import RegularStatistic
 
 
 def run(capsys, *argv):
@@ -130,6 +130,35 @@ class TestVerify:
         assert len(calls) == 33
 
 
+def count_products(monkeypatch, capsys, *argv):
+    calls = []
+    original = translates.translate_product
+
+    def counting(t1, t2):
+        calls.append((t1, t2))
+        return original(t1, t2)
+
+    monkeypatch.setattr(translates, "translate_product", counting)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    return len(calls)
+
+
+class TestPowersBuiltOnce:
+    def test_lambda_reuses_the_moment_expansion(self, capsys, monkeypatch):
+        plain = count_products(monkeypatch, capsys, "moment", "maj", "-d", "2")
+        assert plain > 0
+        assert count_products(
+            monkeypatch, capsys, "moment", "maj", "-d", "2", "--lambda", "3,1"
+        ) == plain
+
+    def test_verify_builds_each_power_once(self, capsys, monkeypatch):
+        moment = count_products(monkeypatch, capsys, "moment", "exc", "-d", "3")
+        assert count_products(
+            monkeypatch, capsys, "verify", "exc", "--nmax", "3", "-d", "3"
+        ) == moment
+
+
 class TestExpand:
     def test_major_index(self, capsys):
         code, out, _ = run(capsys, "expand", "maj")
@@ -207,6 +236,32 @@ class TestExitCodes:
         assert code == 3
         assert f"degree {sums.MAX_SUM_DEGREE + 1}" in err
 
+    def test_product_over_the_cap_fails_fast(self, capsys):
+        # exc^5 * exc would try 545,731 placements
+        start = time.perf_counter()
+        code, out, err = run(capsys, "moment", "exc^40")
+        assert code == 3
+        assert time.perf_counter() - start < 15
+        assert out == ""
+        assert "545731 placements" in err
+
+    @pytest.mark.parametrize("cap, code, message", [
+        ("-1", 2, "--bell-cap must be >= 0"),
+        ("0", 0, ""),
+        ("12", 0, ""),
+        ("13", 3, "--bell-cap is capped at 12"),
+    ])
+    def test_bell_cap_range(self, capsys, cap, code, message):
+        got, out, err = run(capsys, "moment", "fix", "-d", "2", "--bell-cap", cap)
+        assert got == code and message in err
+        assert out.startswith("moment d=2: m1^2") if code == 0 else out == ""
+
+    def test_bell_cap_zero_admits_no_path(self, capsys, monkeypatch):
+        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        code, out, err = run(capsys, "moment", "exc", "--bell-cap", "0")
+        assert code == 3
+        assert out == "" and "Bell cap 0" in err
+
     def test_bad_moment_order(self, capsys):
         code, _, _ = run(capsys, "moment", "exc", "-d", "0")
         assert code == 2
@@ -275,7 +330,7 @@ class TestDiskCache:
 
     def test_warm_run_leaves_file_untouched(self, tmp_path, capsys, monkeypatch, fresh_cache):
         # every type `moment exc` needs, in a layout the cache never writes
-        types = type_sums(parse_statistic("exc"))
+        types = parse_statistic("exc").type_sums
         content = json.dumps(
             {t.key: to_json_dict(indicator.indicator_moment(t)) for t in types}, indent=2
         ).encode()

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cycstat.errors import MalformedInputError, SizeMismatchError
-from cycstat.partial import CyclePathType, PartialPermutation, covering_injections, relabel
+from cycstat.partial import (
+    CyclePathType,
+    PartialPermutation,
+    covering_injections,
+    placements,
+    relabel,
+)
 
 
 class TestConstruction:
@@ -143,5 +149,5 @@ def _covering_pairs_by_filter(m, l):
 @pytest.mark.parametrize("l", range(6))
 def test_covering_injections_match_filter_definition(m, l):
     pairs = list(covering_injections(m, l))
-    assert len(pairs) == len(set(pairs))
+    assert len(pairs) == len(set(pairs)) == placements(m, l)
     assert set(pairs) == set(_covering_pairs_by_filter(m, l))

@@ -1,14 +1,18 @@
 """Constrained translates and the regular-statistic algebra."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
-from cycstat.errors import MalformedInputError
+from cycstat import translates
+from cycstat.errors import MalformedInputError, ResourceLimitError
 from cycstat.oracle import class_moment, partitions
 from cycstat.partial import PartialPermutation
+from cycstat.patterns import exc, maj
 from cycstat.poly import ONE, Poly, mvar, xvar
 from cycstat.translates import (
     ConstrainedTranslate,
@@ -203,6 +207,79 @@ class TestMoments:
         s = RegularStatistic((EXC_T,))
         e = s.uniform_moment(1).normalized()
         assert all(not any(x for x in exps[1:]) for exps in e.num.terms)
+
+
+class TestPowers:
+    def test_each_power_built_once(self, monkeypatch):
+        calls = []
+        original = translates.translate_product
+
+        def counting(t1, t2):
+            calls.append((t1, t2))
+            return original(t1, t2)
+
+        monkeypatch.setattr(translates, "translate_product", counting)
+        s = exc()
+        cube = s**3
+        assert calls
+        calls.clear()
+        assert s**3 is cube and s**1 is s
+        assert not calls
+        assert s**2 * s == cube
+
+    def test_concurrent_callers_get_one_object(self):
+        s = exc()
+        barrier = threading.Barrier(8, timeout=60)
+        results = [None] * 8
+
+        def cube(i):
+            barrier.wait()
+            results[i] = s**3
+
+        threads = [threading.Thread(target=cube, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(r is results[0] for r in results)
+        assert results[0] == exc() ** 3
+        assert s**2 * s == results[0]
+
+    def test_power_leaves_statistic_unchanged(self):
+        s = maj()
+        before = (hash(s), str(s), [str(t) for t in s.translates])
+        s**2
+        s.moment(1)
+        assert (hash(s), str(s), [str(t) for t in s.translates]) == before
+        assert s == maj() and maj() == s and hash(s) == hash(maj())
+        assert {s: 1}[maj()] == 1
+
+    def test_type_sums_grouped_once(self):
+        s = maj()
+        assert s.type_sums is s.type_sums
+        with pytest.raises(TypeError):
+            s.type_sums[next(iter(s.type_sums))] = ONE
+
+    def test_product_over_the_placement_cap(self, monkeypatch):
+        # exc^2 * exc tries 161 placements
+        monkeypatch.setattr(translates, "MAX_PLACEMENTS", 161)
+        assert (exc() ** 2 * exc()).translates
+        monkeypatch.setattr(translates, "MAX_PLACEMENTS", 160)
+        with pytest.raises(ResourceLimitError, match="161 placements"):
+            exc() ** 2 * exc()
+
+    def test_exponent_cap(self):
+        two = RegularStatistic.constant(2)
+        cap = translates.MAX_EXPONENT
+        assert two**cap == RegularStatistic.constant(2**cap)
+        with pytest.raises(ResourceLimitError):
+            two ** (cap + 1)
 
 
 def _small_translates():
