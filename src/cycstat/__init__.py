@@ -12,7 +12,6 @@ from .errors import (
     MalformedInputError,
     ParseError,
     ResourceLimitError,
-    SizeMismatchError,
 )
 from .expectation import RationalExpectation
 from .indicator import (
@@ -21,7 +20,7 @@ from .indicator import (
     indicator_expectation,
     indicator_moment,
 )
-from .partial import CyclePathType, PartialPermutation, relabel
+from .partial import CyclePathType, PartialPermutation
 from .patterns import (
     BivincularPattern,
     builtin,
@@ -35,7 +34,7 @@ from .patterns import (
     pattern_count,
 )
 from .poly import Poly
-from .setpartitions import SetPartition, bell_number, set_partitions
+from .setpartitions import bell_number, set_partitions
 from .translates import ConstrainedTranslate, RegularStatistic, translate_product
 
 __all__ = [
@@ -53,8 +52,6 @@ __all__ = [
     "RationalExpectation",
     "RegularStatistic",
     "ResourceLimitError",
-    "SetPartition",
-    "SizeMismatchError",
     "alpha_limit",
     "bell_number",
     "builtin",
@@ -72,7 +69,6 @@ __all__ = [
     "maj",
     "parse_statistic",
     "pattern_count",
-    "relabel",
     "set_partitions",
     "translate_product",
     "variance_limit",

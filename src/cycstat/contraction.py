@@ -1,22 +1,28 @@
-"""Contraction of a packed partial permutation along a set partition.
+"""Contraction of a packed partial permutation along blocks of its support.
 
-A function constant on the blocks of rho must identify successors of
-identified vertices (the underlying permutation is deterministic) and,
-being a permutation, predecessors as well.  Closing rho under both
+A function constant on each block must identify successors of identified
+vertices (the underlying permutation is deterministic) and, being a
+permutation, predecessors as well.  Closing the blocks under both
 propagations yields a partition whose quotient graph again has in- and
 out-degree at most one, so it decomposes into cycles and paths; contract
 returns its cycle-path type.
+
+The blocks may be any sequences of support points: points in no block stay
+alone and overlapping blocks merge, so contracting along rho + tau contracts
+along the join of rho and tau.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
+
 from .partial import CyclePathType, PartialPermutation, component_type
-from .setpartitions import SetPartition, UnionFind
+from .setpartitions import UnionFind
 
 
-def contract(p: PartialPermutation, rho: SetPartition) -> CyclePathType:
-    """Equivalence-close rho under successor/predecessor propagation and
-    return the cycle-path type of the quotient graph."""
+def contract(p: PartialPermutation, blocks: Iterable[Sequence[int]]) -> CyclePathType:
+    """Equivalence-close the blocks under successor/predecessor propagation
+    and return the cycle-path type of the quotient graph."""
     m = len(p.support)
     succ0 = p.edges()
     pred0 = {v: u for u, v in succ0.items()}
@@ -43,7 +49,7 @@ def contract(p: PartialPermutation, rho: SetPartition) -> CyclePathType:
             if keep is not None:
                 neighbor[root] = keep
 
-    for block in rho.blocks:
+    for block in blocks:
         for x in block[1:]:
             union(block[0], x)
             while queue:

@@ -135,9 +135,7 @@ def _parse_pattern(toks: _Tokens) -> RegularStatistic:
     A: tuple[int, ...] = ()
     if toks.peek()[0] == ";":
         toks.next()
-        _expect_name(toks, "A")
-        toks.expect("=")
-        A = _parse_intset(toks)
+        A = _field(toks, "A", _parse_intset)
     toks.expect(")")
     return pattern_count(word, A=A)
 
@@ -147,21 +145,13 @@ def _parse_bivincular(toks: _Tokens) -> RegularStatistic:
     toks.expect("(")
     word = toks.expect("INT", "a pattern word like 21")[1]
     toks.expect(";")
-    _expect_name(toks, "A")
-    toks.expect("=")
-    A = _parse_intset(toks)
+    A = _field(toks, "A", _parse_intset)
     toks.expect(";")
-    _expect_name(toks, "B")
-    toks.expect("=")
-    B = _parse_intset(toks)
+    B = _field(toks, "B", _parse_intset)
     toks.expect(";")
-    _expect_name(toks, "f")
-    toks.expect("=")
-    f = _parse_poly(toks)
+    f = _field(toks, "f", _parse_poly)
     toks.expect(";")
-    _expect_name(toks, "g")
-    toks.expect("=")
-    g = _parse_poly(toks)
+    g = _field(toks, "g", _parse_poly)
     toks.expect(")")
     sigma = tuple(int(ch) for ch in word)
     return compile_bivincular(
@@ -172,31 +162,26 @@ def _parse_bivincular(toks: _Tokens) -> RegularStatistic:
 def _parse_translate(toks: _Tokens) -> RegularStatistic:
     toks.expect("NAME")
     toks.expect("(")
-    _expect_name(toks, "U")
-    toks.expect("=")
-    U = _parse_inttuple(toks)
+    U = _field(toks, "U", _parse_inttuple)
     toks.expect(";")
-    _expect_name(toks, "V")
-    toks.expect("=")
-    V = _parse_inttuple(toks)
+    V = _field(toks, "V", _parse_inttuple)
     toks.expect(";")
-    _expect_name(toks, "C")
-    toks.expect("=")
-    C = _parse_intset(toks)
+    C = _field(toks, "C", _parse_intset)
     toks.expect(";")
-    _expect_name(toks, "f")
-    toks.expect("=")
-    f = _parse_poly(toks)
+    f = _field(toks, "f", _parse_poly)
     toks.expect(")")
     translate = ConstrainedTranslate(PartialPermutation(U, V), frozenset(C), f)
     return RegularStatistic((translate,))
 
 
-def _expect_name(toks: _Tokens, name: str):
+def _field(toks: _Tokens, name: str, parse):
+    """The value of a `name=value` field, read by parse."""
     tok = toks.peek()
     if tok[0] != "NAME" or tok[1] != name:
         raise ParseError(tok[2], f"'{name}='", tok[1])
     toks.next()
+    toks.expect("=")
+    return parse(toks)
 
 
 def _parse_rational(toks: _Tokens) -> Fraction:

@@ -13,10 +13,6 @@ class MalformedInputError(CycstatError, ValueError):
     """Invalid partial permutation, partition or statistic description."""
 
 
-class SizeMismatchError(CycstatError, ValueError):
-    """Relabeling set does not match the packed support size."""
-
-
 class ResourceLimitError(CycstatError):
     """A computation would exceed a configured cap (e.g. Bell-number cap)."""
 

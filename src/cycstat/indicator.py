@@ -15,7 +15,9 @@ The path factor f_{(0,nu)} is computed by Moebius inversion over the set
 partitions of the path vertices only: classifying arbitrary edge-respecting
 functions by their coincidence partition, the injective ones are recovered
 as the alternating sum of the unrestricted counts of the contraction
-quotients.
+quotients.  The unrestricted count depends on a partition only through its
+quotient type, so the Moebius values are added per type and each type's
+count is built once.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .expectation import evaluation_point
 from .oracle import injection_count
 from .partial import CyclePathType, PartialPermutation
 from .poly import N, Poly, falling_factorial_value, from_json_dict, mvar, to_json_dict
-from .setpartitions import bell_number, set_partitions
+from .setpartitions import bell_number, mobius_lower, set_partitions
 
 DEFAULT_BELL_CAP = 12
 
@@ -222,14 +224,15 @@ def _cycle_factor(cycles: tuple[int, ...]) -> Poly:
 def mobius_count_poly(p: PartialPermutation) -> Poly:
     """Compatible injections of the packed partial permutation p, by Moebius
     inversion over every set partition of its support."""
-    poly = Poly()
     # g(identity) = sum over rho of mu(0,rho) * F(rho), where F(rho) counts
     # edge-respecting functions constant on the blocks of rho, i.e. the
     # unrestricted count of the closure quotient
+    weights: Counter[CyclePathType] = Counter()
     for rho in set_partitions(len(p.support)):
-        poly = poly + Fraction(rho.mobius_lower()) * unrestricted_count_poly(
-            contract(p, rho)
-        )
+        weights[contract(p, rho)] += mobius_lower(rho)
+    poly = Poly()
+    for t, weight in weights.items():
+        poly = poly + Fraction(weight) * unrestricted_count_poly(t)
     return poly
 
 

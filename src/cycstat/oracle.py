@@ -113,7 +113,7 @@ def representative(lam) -> tuple[int, ...]:
 # -- compatible functions and injections -------------------------------
 
 
-def _component_images(kind, verts, pi, injective_within=True):
+def _component_images(kind, verts, pi):
     """All ways to map one component into the permutation pi's ground set,
     following pi along the edges; yields tuples aligned with verts."""
     n = len(pi)
@@ -123,7 +123,7 @@ def _component_images(kind, verts, pi, injective_within=True):
         ok = True
         for _ in range(len(verts) - 1):
             image.append(pi[image[-1] - 1])
-        if injective_within and len(set(image)) != len(image):
+        if len(set(image)) != len(image):
             continue
         if kind == "cycle" and pi[image[-1] - 1] != image[0]:
             ok = False

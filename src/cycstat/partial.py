@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import MalformedInputError, SizeMismatchError
+from .errors import MalformedInputError
 
 
 @dataclass(frozen=True)
@@ -66,16 +66,6 @@ class PartialPermutation:
 
     def cycle_path_type(self) -> "CyclePathType":
         return component_type(self.edges(), set(self.support))
-
-    def canonicalize(self) -> tuple["PartialPermutation", tuple[int, ...]]:
-        """Return (packed representative on [m], support) for m = |I union J|."""
-        sup = self.support
-        rank = {s: r + 1 for r, s in enumerate(sup)}
-        packed = PartialPermutation(
-            tuple(rank[i] for i in self.positions),
-            tuple(rank[j] for j in self.values),
-        )
-        return packed, sup
 
     def __str__(self) -> str:
         return f"({','.join(map(str, self.positions))})({','.join(map(str, self.values))})"
@@ -201,18 +191,3 @@ def push_adjacencies(constraints, a: tuple[int, ...]) -> set[int] | None:
             return None
         out.add(a[c - 1])
     return out
-
-
-def relabel(support: tuple[int, ...] | list[int], packed: PartialPermutation) -> PartialPermutation:
-    """Apply the order-preserving substitution u -> support[u-1] to a packed
-    partial permutation; inverse of canonicalize on its image."""
-    sup = sorted(support)
-    if len(set(sup)) != len(sup):
-        raise MalformedInputError("relabeling set has repeated entries")
-    m = len(packed.support)
-    if len(sup) != m:
-        raise SizeMismatchError(f"relabeling set has {len(sup)} entries, need {m}")
-    return PartialPermutation(
-        tuple(sup[i - 1] for i in packed.positions),
-        tuple(sup[j - 1] for j in packed.values),
-    )

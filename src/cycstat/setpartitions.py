@@ -1,90 +1,15 @@
-"""Set partitions of [m] with join and lower Moebius values.
+"""Set partitions of [m] as tuples of blocks, with lower Moebius values.
 
-Partitions are stored canonically as restricted-growth strings: element 1
-gets label 0 and each later element's label is at most one more than the
-largest label seen so far.  This makes hashing and enumeration order
-deterministic.
+A partition is a tuple of blocks: each block is an increasing tuple, and the
+blocks are ordered by their least element.  Enumeration follows the
+lexicographic order of the restricted-growth string (element i is labelled
+with the index of its block), so it is deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-
-from .errors import MalformedInputError
-
-
-@dataclass(frozen=True)
-class SetPartition:
-    rgs: tuple[int, ...]
-
-    def __post_init__(self):
-        labels: dict[int, int] = {}
-        canon = []
-        for x in self.rgs:
-            if x not in labels:
-                labels[x] = len(labels)
-            canon.append(labels[x])
-        object.__setattr__(self, "rgs", tuple(canon))
-
-    @classmethod
-    def from_blocks(cls, blocks, m: int | None = None) -> "SetPartition":
-        label: dict[int, int] = {}
-        for b, block in enumerate(blocks):
-            for x in block:
-                if x in label:
-                    raise MalformedInputError(f"element {x} in two blocks")
-                label[x] = b
-        if m is None:
-            m = len(label)
-        if sorted(label) != list(range(1, m + 1)):
-            raise MalformedInputError("blocks must cover [m] exactly once")
-        return cls(tuple(label[i] for i in range(1, m + 1)))
-
-    @classmethod
-    def singletons(cls, m: int) -> "SetPartition":
-        return cls(tuple(range(m)))
-
-    @property
-    def ground_size(self) -> int:
-        return len(self.rgs)
-
-    @property
-    def num_blocks(self) -> int:
-        return max(self.rgs) + 1 if self.rgs else 0
-
-    @property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.num_blocks)]
-        for i, b in enumerate(self.rgs):
-            out[b].append(i + 1)
-        return tuple(tuple(b) for b in out)
-
-    def join(self, other: "SetPartition") -> "SetPartition":
-        """Smallest common coarsening: connected components of the union of
-        block graphs, via union-find."""
-        m = self.ground_size
-        if other.ground_size != m:
-            raise MalformedInputError("join requires partitions of the same ground set")
-        uf = UnionFind(m + 1)
-        for part in (self, other):
-            for block in part.blocks:
-                for x in block[1:]:
-                    uf.union(block[0], x)
-        return SetPartition(tuple(uf.find(i) for i in range(1, m + 1)))
-
-    def mobius_lower(self) -> int:
-        """mu(0_m, rho) = (-1)^(m - #blocks) * prod (|block| - 1)!."""
-        val = 1
-        for block in self.blocks:
-            val *= factorial(len(block) - 1)
-        if (self.ground_size - self.num_blocks) % 2:
-            val = -val
-        return val
-
-    def __str__(self) -> str:
-        return "{" + ", ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks) + "}"
 
 
 class UnionFind:
@@ -112,25 +37,35 @@ class UnionFind:
 
 def set_partitions(m: int):
     """Yield every partition of [m] exactly once (Bell(m) of them), in
-    lexicographic order of the restricted-growth string."""
-    if m <= 0:
-        yield SetPartition(())
-        return
-    rgs = [0] * m
-    maxes = [0] * m
-    while True:
-        yield SetPartition(tuple(rgs))
-        # next RGS in lexicographic order
-        i = m - 1
-        while i > 0 and rgs[i] == maxes[i - 1] + 1:
-            i -= 1
-        if i == 0:
+    lexicographic order of the restricted-growth string: each element joins
+    every existing block in turn, then opens a new one."""
+    blocks: list[list[int]] = []
+
+    def place(x: int):
+        if x > m:
+            yield tuple(map(tuple, blocks))
             return
-        rgs[i] += 1
-        for j in range(i + 1, m):
-            rgs[j] = 0
-        for j in range(i, m):
-            maxes[j] = max(maxes[j - 1], rgs[j])
+        for block in blocks:
+            block.append(x)
+            yield from place(x + 1)
+            block.pop()
+        blocks.append([x])
+        yield from place(x + 1)
+        blocks.pop()
+
+    yield from place(1)
+
+
+def mobius_lower(blocks) -> int:
+    """mu(0_m, rho) = (-1)^(m - #blocks) * prod (|block| - 1)! for the
+    partition rho of [m] with these blocks."""
+    val = 1
+    for block in blocks:
+        val *= factorial(len(block) - 1)
+        # m - #blocks is the sum of |block| - 1, odd once per even block
+        if len(block) % 2 == 0:
+            val = -val
+    return val
 
 
 @lru_cache(maxsize=None)

@@ -133,16 +133,6 @@ class RegularStatistic:
         object.__setattr__(self, "translates", tuple(out))
 
     @classmethod
-    def from_terms(cls, terms) -> "RegularStatistic":
-        """Build from (coefficient, translate) pairs."""
-        out = []
-        for coef, t in terms:
-            coef = Fraction(coef)
-            if coef:
-                out.append(ConstrainedTranslate(t.packed, t.constraints, coef * t.weight))
-        return cls(tuple(out))
-
-    @classmethod
     def constant(cls, c) -> "RegularStatistic":
         c = Fraction(c)
         if not c:

@@ -106,3 +106,40 @@ class TestErrors:
         with pytest.raises(ParseError) as err:
             parse_statistic("T(U=(1);V=(2);C={};g=1)")
         assert "f=" in str(err.value)
+
+
+# (text, position, expected, found) for a malformed name=value field of each
+# atom: a wrong or missing name, a missing '=', a value of the wrong shape and
+# a missing separator or closing parenthesis
+MALFORMED_FIELDS = [
+    ("N(12;B={})", 5, "'A='", "B"),
+    ("N(12;A{1})", 6, "'='", "{"),
+    ("N(12;A=1)", 7, "'{'", "1"),
+    ("N(12;A={1}", 10, "')'", ""),
+    ("N(12;A={1};B={})", 10, "')'", ";"),
+    ("biv(21;A={};C={};f=1;g=1)", 12, "'B='", "C"),
+    ("biv(21;B={};A={};f=1;g=1)", 7, "'A='", "B"),
+    ("biv(21;A={};B={};g=1;f=1)", 17, "'f='", "g"),
+    ("biv(21;A={};B={};f=1;h=1)", 21, "'g='", "h"),
+    ("biv(21;A={};B={};f=1;g=1", 24, "')'", ""),
+    ("biv(21;A={}B={};f=1;g=1)", 11, "';'", "B"),
+    ("biv(21;A=(1);B={};f=1;g=1)", 9, "'{'", "("),
+    ("biv(21;A={};B={};f=;g=1)", 19, "a number, variable or '('", ";"),
+    ("T(U=(1);V=(2);C={};g=1)", 19, "'f='", "g"),
+    ("T(V=(1);U=(2);C={};f=1)", 2, "'U='", "V"),
+    ("T(U=(1);W=(2);C={};f=1)", 8, "'V='", "W"),
+    ("T(U=(1);V=(2);D={};f=1)", 14, "'C='", "D"),
+    ("T(U={1};V=(2);C={};f=1)", 4, "'('", "{"),
+    ("T(U=(1);V=(2);C=(1);f=1)", 16, "'{'", "("),
+    ("T(U=(1);V=(2);C={};f=1", 22, "')'", ""),
+    ("T(U=(1) V=(2);C={};f=1)", 8, "';'", "V"),
+    ("T(U(1);V=(2);C={};f=1)", 3, "'='", "("),
+    ("T(U=(1);V=(2);C={};f=)", 21, "a number, variable or '('", ")"),
+]
+
+
+@pytest.mark.parametrize("text,pos,expected,found", MALFORMED_FIELDS)
+def test_malformed_field_error(text, pos, expected, found):
+    with pytest.raises(ParseError) as err:
+        parse_statistic(text)
+    assert (err.value.pos, err.value.expected, err.value.found) == (pos, expected, found)

@@ -20,9 +20,11 @@ from cycstat.indicator import (
     mobius_count_poly,
     unrestricted_count_poly,
 )
+from cycstat.contraction import contract
 from cycstat.oracle import injection_count, compatible_function_count, partitions
 from cycstat.partial import CyclePathType, PartialPermutation
 from cycstat.poly import N, ONE, Poly, mvar, to_json_dict
+from cycstat.setpartitions import mobius_lower, set_partitions
 
 from conftest import all_cycle_path_types
 
@@ -117,6 +119,39 @@ class TestIndicatorMoment:
     def test_cache_returns_identical_object(self):
         t = CyclePathType((2,), (1,))
         assert indicator_moment(t) is indicator_moment(t)
+
+
+class TestMobiusCountPoly:
+    def test_matches_sum_over_partitions(self):
+        # every path-only type with at most 7 path vertices, against the
+        # reference that adds one term per set partition
+        types = [
+            t for t in all_cycle_path_types(6) if not t.cycles and t.support_size <= 7
+        ]
+        assert len(types) == 14
+        for t in types:
+            p = t.representative()
+            expected = Poly()
+            for rho in set_partitions(len(p.support)):
+                expected = expected + Fraction(mobius_lower(rho)) * unrestricted_count_poly(
+                    contract(p, rho)
+                )
+            assert mobius_count_poly(p) == expected, t.key
+
+    def test_one_unrestricted_count_per_quotient_type(self, monkeypatch):
+        calls = []
+        original = indicator.unrestricted_count_poly
+
+        def counting(t):
+            calls.append(t)
+            return original(t)
+
+        monkeypatch.setattr(indicator, "unrestricted_count_poly", counting)
+        p = CyclePathType((), (2, 1, 1)).representative()
+        mobius_count_poly(p)
+        quotients = {contract(p, rho) for rho in set_partitions(len(p.support))}
+        assert len(calls) == len(set(calls))
+        assert set(calls) == quotients
 
 
 class TestCycleFactorisation:

@@ -1,17 +1,16 @@
-"""Partial permutations, cycle-path types, packing and relabeling."""
+"""Partial permutations, cycle-path types and covering injections."""
 
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cycstat.errors import MalformedInputError, SizeMismatchError
+from cycstat.errors import MalformedInputError
 from cycstat.partial import (
     CyclePathType,
     PartialPermutation,
     covering_injections,
     placements,
-    relabel,
 )
 
 
@@ -36,42 +35,6 @@ class TestConstruction:
     def test_nonpositive_entries_rejected(self):
         with pytest.raises(MalformedInputError):
             PartialPermutation((0,), (1,))
-
-
-class TestCanonicalize:
-    def test_two_edge_path(self):
-        # relabeling {3,7,9} -> {1,2,3} is forced by order preservation
-        p = PartialPermutation((3, 7), (7, 9))
-        packed, support = p.canonicalize()
-        assert packed == PartialPermutation((1, 2), (2, 3))
-        assert support == (3, 7, 9)
-
-    def test_single_fixed_point(self):
-        packed, support = PartialPermutation((5,), (5,)).canonicalize()
-        assert packed == PartialPermutation((1,), (1,))
-        assert support == (5,)
-
-    def test_relabel_inverts_canonicalize(self):
-        p = PartialPermutation((2, 9, 4), (9, 2, 11))
-        packed, support = p.canonicalize()
-        assert relabel(support, packed) == p
-
-
-class TestRelabel:
-    def test_singleton(self):
-        assert relabel((4, 8), PartialPermutation((1,), (2,))) == PartialPermutation((4,), (8,))
-
-    def test_identity_support(self):
-        p = PartialPermutation((1, 2), (2, 3))
-        assert relabel((1, 2, 3), p) == p
-
-    def test_order_preserving_substitution(self):
-        p = PartialPermutation((1, 2), (2, 3))
-        assert relabel((2, 5, 9), p) == PartialPermutation((2, 5), (5, 9))
-
-    def test_size_mismatch_raises(self):
-        with pytest.raises(SizeMismatchError):
-            relabel((1, 2), PartialPermutation((1, 2), (2, 3)))
 
 
 class TestCyclePathType:
@@ -125,7 +88,11 @@ def test_relabeling_invariance(support_extra, perm):
     pool = sorted(set(support_extra) | set(range(100, 100 + m)))[:m]
     if len(pool) < m:
         return
-    assert relabel(sorted(pool), base).cycle_path_type() == base.cycle_path_type()
+    relabeled = PartialPermutation(
+        tuple(pool[i - 1] for i in base.positions),
+        tuple(pool[j - 1] for j in base.values),
+    )
+    assert relabeled.cycle_path_type() == base.cycle_path_type()
 
 
 def test_str_form():

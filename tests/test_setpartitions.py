@@ -1,22 +1,28 @@
-"""Set partitions: enumeration, join, lower Moebius values."""
+"""Set partitions: enumeration as block tuples, lower Moebius values."""
 
-import pytest
-from hypothesis import given, strategies as st
-
-from cycstat.errors import MalformedInputError
-from cycstat.setpartitions import SetPartition, bell_number, set_partitions
+from cycstat.setpartitions import bell_number, mobius_lower, set_partitions
 
 
-def rgs_strategy(m: int):
-    """Random restricted-growth strings of length m (canonicalized on build)."""
-    return st.lists(st.integers(0, m - 1), min_size=m, max_size=m).map(
-        lambda xs: SetPartition(tuple(xs))
-    )
+def _partitions_by_rgs(m):
+    """Reference enumeration: every restricted-growth string of length m in
+    lexicographic order, read as blocks (element i in block rgs[i - 1])."""
+    def grow(rgs):
+        if len(rgs) == m:
+            yield rgs
+            return
+        for label in range(max(rgs, default=-1) + 2):
+            yield from grow(rgs + [label])
+
+    for rgs in grow([]):
+        blocks = [[] for _ in range(max(rgs, default=-1) + 1)]
+        for i, label in enumerate(rgs, start=1):
+            blocks[label].append(i)
+        yield tuple(map(tuple, blocks))
 
 
 class TestEnumeration:
     def test_m1(self):
-        assert [p.blocks for p in set_partitions(1)] == [((1,),)]
+        assert list(set_partitions(1)) == [((1,),)]
 
     def test_counts_match_bell_numbers(self):
         # Bell(3) = 5 and Bell(5) = 52 by direct enumeration
@@ -24,76 +30,35 @@ class TestEnumeration:
         assert len(list(set_partitions(5))) == 52
 
     def test_no_duplicates(self):
-        parts = list(set_partitions(4))
-        assert len(set(parts)) == len(parts) == bell_number(4) == 15
+        # each partition covers [m] once, with increasing blocks ordered by
+        # least element, in restricted-growth order
+        for m in range(8):
+            parts = list(set_partitions(m))
+            assert len(set(parts)) == len(parts) == bell_number(m)
+            for blocks in parts:
+                assert sorted(x for block in blocks for x in block) == list(range(1, m + 1))
+                assert all(list(block) == sorted(block) for block in blocks)
+                assert [block[0] for block in blocks] == sorted(block[0] for block in blocks)
+            assert parts == list(_partitions_by_rgs(m))
 
     def test_bell_numbers(self):
         assert [bell_number(m) for m in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
         assert bell_number(12) == 4213597
 
 
-class TestBlocks:
-    def test_from_blocks_round_trip(self):
-        p = SetPartition.from_blocks([{1, 3}, {2}, {4, 5}])
-        assert p.blocks == ((1, 3), (2,), (4, 5))
-
-    def test_overlapping_blocks_rejected(self):
-        with pytest.raises(MalformedInputError):
-            SetPartition.from_blocks([{1, 2}, {2, 3}])
-
-    def test_gap_rejected(self):
-        with pytest.raises(MalformedInputError):
-            SetPartition.from_blocks([{1}, {3}])
-
-
 class TestMobius:
     def test_singletons_is_one(self):
-        assert SetPartition.singletons(5).mobius_lower() == 1
+        assert mobius_lower(((1,), (2,), (3,), (4,), (5,))) == 1
 
     def test_atom_is_minus_one(self):
-        rho = SetPartition.from_blocks([{1, 2}, {3}, {4}])
-        assert rho.mobius_lower() == -1
+        assert mobius_lower(((1, 2), (3,), (4,))) == -1
 
     def test_single_block_of_four(self):
         # (-1)^3 * 3! = -6; agrees with recursive Moebius computation on
         # the lattice of partitions of [4] (sum over the interval is 0)
-        rho = SetPartition.from_blocks([{1, 2, 3, 4}])
-        assert rho.mobius_lower() == -6
+        assert mobius_lower(((1, 2, 3, 4),)) == -6
 
     def test_alternating_sum_vanishes(self):
         # sum over rho of mu(0,rho) = 0 for m >= 2 (Moebius recursion at 1)
         for m in range(2, 6):
-            assert sum(p.mobius_lower() for p in set_partitions(m)) == 0
-
-
-class TestJoin:
-    RHO = SetPartition.from_blocks(
-        [{1, 12}, {2}, {3, 11}, {4, 7, 10}, {5}, {6, 13}, {8}, {9}], m=13
-    )
-    TAU = SetPartition.from_blocks(
-        [{1}, {2}, {3, 6}, {4, 7}, {5, 8}, {9}, {10}, {11}, {12}, {13}], m=13
-    )
-
-    def test_worked_13_point_join(self):
-        expected = SetPartition.from_blocks(
-            [{1, 12}, {2}, {3, 6, 11, 13}, {4, 7, 10}, {5, 8}, {9}], m=13
-        )
-        assert self.RHO.join(self.TAU) == expected
-
-    def test_singletons_is_identity(self):
-        assert self.RHO.join(SetPartition.singletons(13)) == self.RHO
-
-    def test_idempotent(self):
-        assert self.RHO.join(self.RHO) == self.RHO
-
-    def test_ground_set_mismatch(self):
-        with pytest.raises(MalformedInputError):
-            SetPartition.singletons(3).join(SetPartition.singletons(4))
-
-
-@given(rgs_strategy(5), rgs_strategy(5), rgs_strategy(5))
-def test_join_laws(a, b, c):
-    assert a.join(b) == b.join(a)
-    assert a.join(b).join(c) == a.join(b.join(c))
-    assert a.join(a) == a
-    assert a.join(SetPartition.singletons(5)) == a
+            assert sum(mobius_lower(p) for p in set_partitions(m)) == 0

@@ -22,6 +22,8 @@ from cycstat.translates import (
 
 FIX_T = ConstrainedTranslate(PartialPermutation((1,), (1,)), frozenset(), ONE)
 EXC_T = ConstrainedTranslate(PartialPermutation((1,), (2,)), frozenset(), ONE)
+FIX = RegularStatistic((FIX_T,))
+EXC = RegularStatistic((EXC_T,))
 
 
 class TestConstruction:
@@ -114,11 +116,11 @@ class TestRegularStatistic:
         assert s.translates[0].weight == Poly.const(2)
 
     def test_cancellation_drops_translate(self):
-        s = RegularStatistic.from_terms([(1, EXC_T), (-1, EXC_T)])
+        s = EXC - EXC
         assert s.is_zero
 
     def test_linear_combination_evaluation(self):
-        s = RegularStatistic.from_terms([(2, EXC_T), (Fraction(1, 2), FIX_T)])
+        s = 2 * EXC + Fraction(1, 2) * FIX
         w = (2, 3, 1)
         assert s.evaluate(w) == 2 * EXC_T.evaluate(w) + Fraction(1, 2) * FIX_T.evaluate(w)
 
@@ -130,7 +132,7 @@ class TestRegularStatistic:
     def test_round_trip_str(self):
         from cycstat.dsl import parse_statistic
 
-        s = RegularStatistic.from_terms([(2, EXC_T), (1, FIX_T)])
+        s = 2 * EXC + FIX
         again = parse_statistic(" + ".join(str(t) for t in s.translates))
         for w in permutations((1, 2, 3)):
             assert again.evaluate(w) == s.evaluate(w)
@@ -189,7 +191,7 @@ class TestMoments:
         assert second.num == mvar(1) ** 2 and second.den == ()
 
     def test_moment_matches_oracle(self):
-        s = RegularStatistic.from_terms([(1, EXC_T), (2, FIX_T)])
+        s = EXC + 2 * FIX
 
         for n in range(1, 6):
             for lam in partitions(n):
