@@ -34,7 +34,6 @@ from .patterns import (
     pattern_count,
 )
 from .poly import Poly
-from .setpartitions import bell_number, set_partitions
 from .translates import ConstrainedTranslate, RegularStatistic, translate_product
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "RegularStatistic",
     "ResourceLimitError",
     "alpha_limit",
-    "bell_number",
     "builtin",
     "c_poly",
     "compile_bivincular",
@@ -69,7 +67,6 @@ __all__ = [
     "maj",
     "parse_statistic",
     "pattern_count",
-    "set_partitions",
     "translate_product",
     "variance_limit",
 ]

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .errors import DivergenceError, InternalConsistencyError
 from .expectation import RationalExpectation
-from .indicator import DEFAULT_BELL_CAP
 from .poly import Poly
 from .translates import RegularStatistic
 
@@ -58,16 +57,14 @@ def limit_ratio(E: RationalExpectation, scale_power: int) -> Poly:
     return Poly(by_ndeg[top])
 
 
-def alpha_limit(stat: RegularStatistic, bell_cap: int = DEFAULT_BELL_CAP) -> Poly:
+def alpha_limit(stat: RegularStatistic) -> Poly:
     """f(alpha) = lim E_lambda[Psi]/n^p along m_1/n -> alpha: the beta-free
     part of the leading-degree ratio.  Polynomial in one variable."""
-    limit = limit_ratio(stat.moment(1, bell_cap), stat.power)
+    limit = limit_ratio(stat.moment(1), stat.power)
     return Poly({exps: c for exps, c in limit.terms.items() if not any(exps[1:])})
 
 
-def variance_limit(
-    stat: RegularStatistic, bell_cap: int = DEFAULT_BELL_CAP
-) -> tuple[Poly, Poly]:
+def variance_limit(stat: RegularStatistic) -> tuple[Poly, Poly]:
     """(V1, V2) with Var_lambda[Psi]/n^{2p-1} -> V1(alpha) + beta*V2(alpha).
 
     Certifies the structural fact making the n^{2p} term drop: the cleared
@@ -75,7 +72,7 @@ def variance_limit(
     in beta.
     """
     p = stat.power
-    V = stat.variance(bell_cap)
+    V = stat.variance()
     # top graded layer of the numerator sits at degree sum(den) + 2p; its
     # pure-m1 monomial n^sum(den) * m1^(2p) must cancel for the n^(2p-1)
     # scaling to converge

@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     ResourceLimitError,
 )
-from .oracle import DEFAULT_N_CAP, class_moment, partitions
+from .oracle import N_CAP, class_moment, partitions
 from .poly import to_json_dict, to_text
 
 EXIT_OK = 0
@@ -47,10 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--cache", metavar="PATH",
                        help="JSON disk cache for indicator polynomials")
-        p.add_argument("--bell-cap", type=int, default=indicator.DEFAULT_BELL_CAP,
-                       help="most path vertices of one indicator polynomial "
-                       "(set-partition cap), 0 to "
-                       f"{indicator.DEFAULT_BELL_CAP}")
 
     p = sub.add_parser("moment", help="symbolic d-th class moment")
     common(p)
@@ -112,10 +108,10 @@ def _cmd_moment(args, stat) -> int:
     if args.variance:
         if d != 2:
             raise MalformedInputError("--variance requires -d 2")
-        result = stat.variance(args.bell_cap)
+        result = stat.variance()
         label = "variance"
     else:
-        result = stat.moment(d, args.bell_cap)
+        result = stat.moment(d)
         label = f"moment d={d}"
     lines = [f"{label}: {result}"]
     payload = _base_payload(args, stat)
@@ -128,9 +124,9 @@ def _cmd_moment(args, stat) -> int:
     if args.lam is not None:
         lam = _parse_lambda(args.lam)
         if args.variance:
-            value = stat.variance_at(lam, args.bell_cap)
+            value = stat.variance_at(lam)
         else:
-            value = stat.moment_at(lam, d, args.bell_cap)
+            value = stat.moment_at(lam, d)
         lines.append(f"value at lambda=({','.join(map(str, lam))}): {value}")
         payload["result"]["evaluations"] = [
             {"lambda": list(lam), "value": str(value)}
@@ -142,7 +138,7 @@ def _cmd_moment(args, stat) -> int:
 def _cmd_limit(args, stat) -> int:
     payload = _base_payload(args, stat)
     if args.variance:
-        v1, v2 = variance_limit(stat, args.bell_cap)
+        v1, v2 = variance_limit(stat)
         lines = [
             f"p={stat.power}",
             f"V1(alpha) = {to_text(v1, ('alpha',))}",
@@ -156,7 +152,7 @@ def _cmd_limit(args, stat) -> int:
             "denominator": {"falling": []},
         }
     else:
-        f = alpha_limit(stat, args.bell_cap)
+        f = alpha_limit(stat)
         lines = [f"p={stat.power}, f(alpha) = {to_text(f, ('alpha',))}"]
         payload["result"] = {
             "numerator": to_json_dict(f, ("alpha",)),
@@ -167,8 +163,8 @@ def _cmd_limit(args, stat) -> int:
 
 
 def _cmd_verify(args, stat) -> int:
-    if args.nmax > DEFAULT_N_CAP:
-        raise ResourceLimitError(f"--nmax is capped at {DEFAULT_N_CAP}")
+    if args.nmax > N_CAP:
+        raise ResourceLimitError(f"--nmax is capped at {N_CAP}")
     if args.nmax < 1:
         raise MalformedInputError("--nmax must be >= 1")
     if args.d < 1:
@@ -181,7 +177,7 @@ def _cmd_verify(args, stat) -> int:
             # cache per class holds one class's values at a time
             evaluate = functools.cache(stat.evaluate)
             for d in range(1, args.d + 1):
-                engine = stat.moment_at(lam, d, args.bell_cap)
+                engine = stat.moment_at(lam, d)
                 oracle = class_moment(evaluate, lam, d)
                 ok = engine == oracle
                 failures += 0 if ok else 1
@@ -223,10 +219,6 @@ def _cmd_expand(args, stat) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.bell_cap > indicator.DEFAULT_BELL_CAP:
-            raise ResourceLimitError(f"--bell-cap is capped at {indicator.DEFAULT_BELL_CAP}")
-        if args.bell_cap < 0:
-            raise MalformedInputError("--bell-cap must be >= 0")
         if args.cache:
             indicator.configure_disk_cache(args.cache)
         stat = parse_statistic(args.expr)

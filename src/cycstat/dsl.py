@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, ResourceLimitError
 from .partial import PartialPermutation
 from .patterns import BivincularPattern, builtin, BUILTINS, compile_bivincular, pattern_count
 from .poly import Poly
+from .sums import MAX_SUM_DEGREE
 from .translates import ConstrainedTranslate, RegularStatistic
 
 _SYMBOLS = "+-*/^(){},;="
@@ -247,7 +248,17 @@ def _parse_poly_factor(toks: _Tokens) -> Poly:
     if toks.peek()[0] == "^":
         toks.next()
         tok = toks.expect("INT", "a nonnegative exponent")
-        out = out ** int(tok[1])
+        e = int(tok[1])
+        # a weight with this factor has degree at least deg * e, unless it
+        # cancels to zero, and its constrained sum one more, above the cap
+        # of sums; a power of several terms takes minutes to expand, a
+        # monomial's no time, so only the former is refused here
+        if len(out.terms) > 1 and out.total_degree() * e > MAX_SUM_DEGREE:
+            raise ResourceLimitError(
+                f"weight power of degree {out.total_degree() * e} makes a "
+                f"constrained sum above the cap {MAX_SUM_DEGREE}"
+            )
+        out = out**e
     return out
 
 

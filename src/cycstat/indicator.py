@@ -32,18 +32,17 @@ from fractions import Fraction
 from .contraction import contract
 from .errors import InternalConsistencyError, MalformedInputError, ResourceLimitError
 from .expectation import evaluation_point
-from .oracle import injection_count
+from .oracle import COUNT_CAP, injection_count
 from .partial import CyclePathType, PartialPermutation
 from .poly import N, Poly, falling_factorial_value, from_json_dict, mvar, to_json_dict
 from .setpartitions import bell_number, mobius_lower, set_partitions
 
-DEFAULT_BELL_CAP = 12
-
-# the oracle visits up to 2^m sets of used points: m fixed points into the
-# identity take 0.05 s at m = 12 and about 1 s at m = 16.  The Bell cap bounds
-# the path vertices only, so types of larger support, with many cycles, are
-# cached too; their entries are checked on load by graded degree alone.
-ORACLE_CHECK_MAX_SUPPORT = 12
+# most path vertices |nu| + l(nu) of one type: the Moebius loop visits
+# Bell(P) set partitions, 4.2M at P = 12.  Read at each call, so a test can
+# lower it.  It bounds the path vertices only, so types of support above the
+# oracle's COUNT_CAP, with many cycles, are cached too; their entries are
+# checked on load by graded degree alone.
+BELL_CAP = 12
 
 
 def c_poly(t: CyclePathType) -> Poly:
@@ -96,13 +95,13 @@ class _MomentCache:
             if path is not None and not self._data.keys() <= loaded.keys():
                 self._flush_locked()
 
-    def get_or_compute(self, t: CyclePathType, bell_cap: int) -> Poly:
+    def get_or_compute(self, t: CyclePathType) -> Poly:
         # a pre-flight guard on the one Bell enumeration, over the path
         # vertices; a cached type is refused like a new one
         p = sum(t.paths) + len(t.paths)
-        if p > bell_cap:
+        if p > BELL_CAP:
             raise ResourceLimitError(
-                f"path-vertex count {p} exceeds the Bell cap {bell_cap} "
+                f"path-vertex count {p} exceeds the Bell cap {BELL_CAP} "
                 f"(Bell({p}) = {bell_number(p)} set partitions)"
             )
         with self._lock:
@@ -165,17 +164,17 @@ def _read_disk(path: str) -> dict[CyclePathType, Poly]:
 
 def _check_entry(t: CyclePathType, poly: Poly) -> Poly:
     """A loaded polynomial must have graded degree k and, up to support
-    ORACLE_CHECK_MAX_SUPPORT, count the injections of t's representative
+    the oracle's COUNT_CAP, count the injections of t's representative
     into an m-cycle and into the identity of S_m, as the oracle does."""
     if poly.graded_degree() != t.size:
         raise ValueError(f"entry {t.key} has graded degree {poly.graded_degree()}, expected {t.size}")
     m = t.support_size
-    if m > ORACLE_CHECK_MAX_SUPPORT:
+    if m > COUNT_CAP:
         return poly
     rep = t.representative()
     # the empty type's only class is the empty one
     for lam in [(m,), (1,) * m] if m else [()]:
-        if poly.evaluate(evaluation_point(lam)) != injection_count(rep, lam, cap=m):
+        if poly.evaluate(evaluation_point(lam)) != injection_count(rep, lam):
             raise ValueError(
                 f"entry {t.key} does not match the oracle at "
                 f"lambda=({','.join(map(str, lam))})"
@@ -190,9 +189,9 @@ def configure_disk_cache(path: str | None) -> None:
     _CACHE.configure_disk(path)
 
 
-def indicator_moment(t: CyclePathType, bell_cap: int = DEFAULT_BELL_CAP) -> Poly:
+def indicator_moment(t: CyclePathType) -> Poly:
     """f_{(mu,nu)}, cached by type; f / (n)_m is the expectation."""
-    return _CACHE.get_or_compute(t, bell_cap)
+    return _CACHE.get_or_compute(t)
 
 
 def _compute(t: CyclePathType) -> Poly:
@@ -236,7 +235,7 @@ def mobius_count_poly(p: PartialPermutation) -> Poly:
     return poly
 
 
-def indicator_expectation(p: PartialPermutation, lam, bell_cap: int = DEFAULT_BELL_CAP) -> Fraction:
+def indicator_expectation(p: PartialPermutation, lam) -> Fraction:
     """P[pi(i_t) = j_t for all t] for pi uniform on the class of lambda."""
     lam = tuple(lam)
     n = sum(lam)
@@ -245,7 +244,7 @@ def indicator_expectation(p: PartialPermutation, lam, bell_cap: int = DEFAULT_BE
             f"support {p.support} exceeds the ground set [{n}]"
         )
     t = p.cycle_path_type()
-    f = indicator_moment(t, bell_cap)
+    f = indicator_moment(t)
     return f.evaluate(evaluation_point(lam)) / falling_factorial_value(n, t.support_size)
 
 

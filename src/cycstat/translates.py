@@ -24,7 +24,7 @@ from types import MappingProxyType
 
 from .errors import InternalConsistencyError, MalformedInputError, ResourceLimitError
 from .expectation import RationalExpectation, ZERO_EXPECTATION, evaluation_point
-from .indicator import DEFAULT_BELL_CAP, indicator_moment
+from .indicator import indicator_moment
 from .partial import CyclePathType, PartialPermutation, covering_injections, placements, push_adjacencies
 from .poly import ZERO, Poly, falling_factorial_value, to_text, WEIGHT_VARS
 from .sums import constrained_subsets, constrained_sum
@@ -223,9 +223,9 @@ class RegularStatistic:
 
     # -- moments ------------------------------------------------------
 
-    def expectation(self, bell_cap: int = DEFAULT_BELL_CAP) -> RationalExpectation:
+    def expectation(self) -> RationalExpectation:
         """E_lambda of this statistic, symbolically."""
-        return class_expectation(self.type_sums, bell_cap)
+        return class_expectation(self.type_sums)
 
     def cleared_moment(self, result: RationalExpectation, d: int) -> tuple[Poly, int]:
         """(n)_{dq} * E[Psi^d] and the bound d(p + q) on its graded degree, certified."""
@@ -238,20 +238,20 @@ class RegularStatistic:
             )
         return cleared, bound
 
-    def moment(self, d: int, bell_cap: int = DEFAULT_BELL_CAP) -> RationalExpectation:
+    def moment(self, d: int) -> RationalExpectation:
         """E_lambda[Psi^d] symbolically, certified by cleared_moment."""
-        result = (self**d).expectation(bell_cap)
+        result = (self**d).expectation()
         self.cleared_moment(result, d)
         return result
 
-    def moment_at(self, lam, d: int = 1, bell_cap: int = DEFAULT_BELL_CAP) -> Fraction:
+    def moment_at(self, lam, d: int = 1) -> Fraction:
         """E_lambda[Psi^d] as an exact rational, valid for every n (small
         ground sets included)."""
-        return class_value((self**d).type_sums, lam, bell_cap)
+        return class_value((self**d).type_sums, lam)
 
-    def variance_at(self, lam, bell_cap: int = DEFAULT_BELL_CAP) -> Fraction:
-        mean = self.moment_at(lam, 1, bell_cap)
-        return self.moment_at(lam, 2, bell_cap) - mean * mean
+    def variance_at(self, lam) -> Fraction:
+        mean = self.moment_at(lam, 1)
+        return self.moment_at(lam, 2) - mean * mean
 
     def uniform_moment(self, d: int) -> RationalExpectation:
         """E over all of S_n of Psi^d; a rational expectation in n only."""
@@ -263,9 +263,9 @@ class RegularStatistic:
             )
         return out
 
-    def variance(self, bell_cap: int = DEFAULT_BELL_CAP) -> RationalExpectation:
-        mean = self.moment(1, bell_cap)
-        return self.moment(2, bell_cap) - mean * mean
+    def variance(self) -> RationalExpectation:
+        mean = self.moment(1)
+        return self.moment(2) - mean * mean
 
     def __str__(self) -> str:
         if not self.translates:
@@ -273,13 +273,13 @@ class RegularStatistic:
         return " + ".join(str(t) for t in self.translates)
 
 
-def class_expectation(sums: Mapping[CyclePathType, Poly], bell_cap: int = DEFAULT_BELL_CAP) -> RationalExpectation:
+def class_expectation(sums: Mapping[CyclePathType, Poly]) -> RationalExpectation:
     """E_lambda symbolically: for each support size m, sum S * f over the
     types and normalise over (n)_m once."""
     by_support: dict[int, Poly] = {}
     for t, S in sums.items():
         m = t.support_size
-        by_support[m] = by_support.get(m, ZERO) + S * indicator_moment(t, bell_cap)
+        by_support[m] = by_support.get(m, ZERO) + S * indicator_moment(t)
     return _over_falling(by_support)
 
 
@@ -291,7 +291,7 @@ def uniform_expectation(sums: Mapping[CyclePathType, Poly]) -> RationalExpectati
     return _over_falling(by_size)
 
 
-def class_value(sums: Mapping[CyclePathType, Poly], lam, bell_cap: int = DEFAULT_BELL_CAP) -> Fraction:
+def class_value(sums: Mapping[CyclePathType, Poly], lam) -> Fraction:
     """Exact E_lambda at the cycle type lam, for every n.  A type of support
     m > n contributes 0, since [n] has no m-subsets (the symbolic ratio is
     0/0 there), so its indicator polynomial is never computed."""
@@ -301,7 +301,7 @@ def class_value(sums: Mapping[CyclePathType, Poly], lam, bell_cap: int = DEFAULT
     for t, S in sums.items():
         m = t.support_size
         if m <= n:
-            f = indicator_moment(t, bell_cap)
+            f = indicator_moment(t)
             total += S.evaluate(point) * f.evaluate(point) / falling_factorial_value(n, m)
     return total
 

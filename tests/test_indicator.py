@@ -113,7 +113,7 @@ class TestIndicatorMoment:
     def test_bell_cap(self):
         big = CyclePathType((), tuple([1] * 7))  # support size 14
         with pytest.raises(ResourceLimitError) as err:
-            indicator_moment(big, bell_cap=12)
+            indicator_moment(big)
         assert "Bell(14)" in str(err.value)
 
     def test_cache_returns_identical_object(self):
@@ -225,7 +225,7 @@ class TestDiskCache:
         path = tmp_path / "cache.json"
         cache = indicator._MomentCache()
         cache.configure_disk(str(path))
-        cache.get_or_compute(CyclePathType((1,), ()), 12)
+        cache.get_or_compute(CyclePathType((1,), ()))
         before = path.read_bytes()
         assert json.loads(before) == {"mu=[1];nu=[]": {"terms": [{"coef": "1", "exps": {"m1": 1}}]}}
 
@@ -234,7 +234,7 @@ class TestDiskCache:
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(json, "dump", failing_dump)
-        result = cache.get_or_compute(CyclePathType((), (1,)), 12)
+        result = cache.get_or_compute(CyclePathType((), (1,)))
         assert result == N - mvar(1)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["cache.json"]
@@ -245,7 +245,7 @@ class TestDiskCache:
         path.write_text(json.dumps({on_disk.key: to_json_dict(mvar(1))}))
         cache = indicator._MomentCache()
         in_process = CyclePathType((), (1,))
-        cache.get_or_compute(in_process, 12)
+        cache.get_or_compute(in_process)
         cache.configure_disk(str(path))
         assert indicator._read_disk(str(path)) == {on_disk: mvar(1), in_process: N - mvar(1)}
 

@@ -111,7 +111,7 @@ class TestCounts:
         # checking a cache entry of such a type as it loads stays cheap
         p = CyclePathType((1,) * 10, ()).representative()
         started = time.monotonic()
-        assert injection_count(p, (1,) * 10, cap=10) == factorial(10)
+        assert injection_count(p, (1,) * 10) == factorial(10)
         assert time.monotonic() - started < 2.0
 
     def test_compatible_function_counts(self):
@@ -124,6 +124,16 @@ class TestCounts:
         assert compatible_function_count(
             PartialPermutation((1, 2), (2, 1)), (2, 2)
         ) == 4
+
+    def test_counts_stop_at_count_cap(self):
+        # one representative, not all of S_n: both counts take n up to
+        # COUNT_CAP = 12, above the enumeration's N_CAP = 8
+        fixed = PartialPermutation((1,), (1,))
+        assert compatible_function_count(fixed, (1,) * 12) == 12
+        assert injection_count(fixed, (12,)) == 0
+        for count in (compatible_function_count, injection_count):
+            with pytest.raises(ResourceLimitError, match="n <= 12, got 13"):
+                count(fixed, (1,) * 13)
 
 
 class TestEvaluators:
