@@ -128,15 +128,18 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
+        """By repeated multiplication: squaring a sparse polynomial of several
+        variables costs far more than multiplying by the base k times.  The
+        power of a monomial, or of zero, is read off directly."""
         if k < 0:
             raise ValueError("negative powers not supported")
-        result = Poly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        if not k:
+            return Poly.const(1)
+        if len(self.terms) <= 1:
+            return _raw({tuple(e * k for e in exps): c**k for exps, c in self.terms.items()})
+        result = self
+        for _ in range(k - 1):
+            result = result * self
         return result
 
     def __eq__(self, other) -> bool:

@@ -6,11 +6,18 @@ agrees with the relabeled partial permutation (L(U), L(V)).  Regular
 statistics are linear combinations of translates; they are closed under
 products.
 
-A statistic builds each power Psi^d once and keeps it, and every moment
-reads one grouping of it, type_sums: the constrained sums S(n) of its
-translates added up per cycle-path type (mu, nu).  A translate's class
-expectation is S * f_{(mu,nu)} / (n)_m, and f and the support size m depend
-on the type alone; its uniform expectation is S / (n)_k for k pairs.
+A statistic builds each power Psi^d once and keeps it.  Every moment reads
+type_sums(d): the constrained sums S(n) of the translates of Psi^d added up
+per cycle-path type (mu, nu).  A translate's class expectation is
+S * f_{(mu,nu)} / (n)_m, and f and the support size m depend on the type
+alone; its uniform expectation is S / (n)_k for k pairs.
+
+type_sums(d) never builds Psi^d.  It places every pair of a translate of
+Psi^(d-1) and one of Psi and adds each placement's weight into its
+translate key, as the canonical form of Psi^d would; each surviving key
+passes a translate's checks and is then added into the key (type, C).
+Since S is linear in the weight, one constrained sum per (type, C) gives
+the same sums as one per translate.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from types import MappingProxyType
 
 from .errors import InternalConsistencyError, MalformedInputError, ResourceLimitError
@@ -53,21 +59,7 @@ class ConstrainedTranslate:
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", frozenset(int(c) for c in self.constraints))
-        if not self.packed.is_packed:
-            raise MalformedInputError(
-                f"translate pattern {self.packed} is not packed"
-            )
-        m = len(self.packed.support)
-        if not self.constraints <= set(range(1, m)):
-            raise MalformedInputError(
-                f"constraints {sorted(self.constraints)} not inside [{m - 1}]"
-            )
-        if self.weight.is_zero:
-            raise MalformedInputError("zero-weight translates are not constructed")
-        if self.weight.num_vars > m:
-            raise MalformedInputError(
-                f"weight uses x{self.weight.num_vars} but the support is [{m}]"
-            )
+        _check_translate(self.packed, self.constraints, self.weight)
 
     @property
     def size(self) -> int:
@@ -177,13 +169,7 @@ class RegularStatistic:
 
     def __mul__(self, other):
         if isinstance(other, RegularStatistic):
-            sizes, others = (Counter(t.support_size for t in s.translates) for s in (self, other))
-            tries = sum(i * j * placements(m, l) for m, i in sizes.items() for l, j in others.items())
-            if tries > MAX_PLACEMENTS:
-                raise ResourceLimitError(
-                    f"a product of {len(self.translates)} by {len(other.translates)} "
-                    f"translates tries {tries} placements; the cap is {MAX_PLACEMENTS}"
-                )
+            _check_placements(self, other)
             parts: list[ConstrainedTranslate] = []
             for t1 in self.translates:
                 for t2 in other.translates:
@@ -194,10 +180,7 @@ class RegularStatistic:
     def __pow__(self, d: int) -> "RegularStatistic":
         """Psi^d, built once as Psi^(d-1) * Psi and kept; setdefault makes
         concurrent callers agree on one object."""
-        if d < 1:
-            raise ValueError("powers start at 1")
-        if d > MAX_EXPONENT:
-            raise ResourceLimitError(f"exponent {d} exceeds the cap {MAX_EXPONENT}")
+        _check_exponent(d)
         powers = self.__dict__.setdefault("_powers", {})
         out = self
         for k in range(2, d + 1):
@@ -205,16 +188,18 @@ class RegularStatistic:
             out = known if known is not None else powers.setdefault(k, out * self)
         return out
 
-    @cached_property
-    def type_sums(self) -> Mapping[CyclePathType, Poly]:
-        """This statistic grouped by cycle-path type: the sum of the
-        constrained sums S(n) of its translates of each type."""
-        sums: dict[CyclePathType, Poly] = {}
-        for t in self.translates:
-            S, _ = constrained_sum(t.weight, t.support_size, t.constraints)
-            key = t.packed.cycle_path_type()
-            sums[key] = sums.get(key, ZERO) + S
-        return MappingProxyType(sums)
+    def type_sums(self, d: int) -> Mapping[CyclePathType, Poly]:
+        """Psi^d grouped by cycle-path type: the sum of the constrained sums
+        S(n) of its translates of each type, streamed from Psi^(d-1) * Psi
+        once and kept; setdefault makes concurrent callers agree on one
+        object."""
+        _check_exponent(d)
+        memo = self.__dict__.setdefault("_type_sums", {})
+        known = memo.get(d)
+        if known is not None:
+            return known
+        left = self ** (d - 1) if d > 1 else RegularStatistic.constant(1)
+        return memo.setdefault(d, MappingProxyType(_streamed_type_sums(left, self)))
 
     # -- evaluation ---------------------------------------------------
 
@@ -223,9 +208,9 @@ class RegularStatistic:
 
     # -- moments ------------------------------------------------------
 
-    def expectation(self) -> RationalExpectation:
-        """E_lambda of this statistic, symbolically."""
-        return class_expectation(self.type_sums)
+    def expectation(self, d: int) -> RationalExpectation:
+        """E_lambda[Psi^d], symbolically."""
+        return class_expectation(self.type_sums(d))
 
     def cleared_moment(self, result: RationalExpectation, d: int) -> tuple[Poly, int]:
         """(n)_{dq} * E[Psi^d] and the bound d(p + q) on its graded degree, certified."""
@@ -240,14 +225,14 @@ class RegularStatistic:
 
     def moment(self, d: int) -> RationalExpectation:
         """E_lambda[Psi^d] symbolically, certified by cleared_moment."""
-        result = (self**d).expectation()
+        result = self.expectation(d)
         self.cleared_moment(result, d)
         return result
 
     def moment_at(self, lam, d: int = 1) -> Fraction:
         """E_lambda[Psi^d] as an exact rational, valid for every n (small
         ground sets included)."""
-        return class_value((self**d).type_sums, lam)
+        return class_value(self.type_sums(d), lam)
 
     def variance_at(self, lam) -> Fraction:
         mean = self.moment_at(lam, 1)
@@ -255,7 +240,7 @@ class RegularStatistic:
 
     def uniform_moment(self, d: int) -> RationalExpectation:
         """E over all of S_n of Psi^d; a rational expectation in n only."""
-        out = uniform_expectation((self**d).type_sums)
+        out = uniform_expectation(self.type_sums(d))
         cleared, _ = self.cleared_moment(out, d)
         if any(any(e for e in exps[1:]) for exps in cleared.terms):
             raise InternalConsistencyError(
@@ -332,6 +317,18 @@ def translate_product(t1: ConstrainedTranslate, t2: ConstrainedTranslate) -> Reg
 
 
 def _merge_overlap(t1, t2, a, b):
+    placed = _place(t1, t2, a, b)
+    if placed is None:
+        return None
+    edges, C, weight = placed
+    packed = PartialPermutation(tuple(edges.keys()), tuple(edges.values()))
+    return ConstrainedTranslate(packed, frozenset(C), weight)
+
+
+def _place(t1, t2, a, b):
+    """t1 * t2 on the union [r] of the supports placed by a and b: (edges,
+    C, weight), or None when the placement breaks an adjacency or merges
+    two edges inconsistently."""
     C1 = push_adjacencies(t1.constraints, a)
     C2 = push_adjacencies(t2.constraints, b)
     if C1 is None or C2 is None:
@@ -350,5 +347,78 @@ def _merge_overlap(t1, t2, a, b):
         return None  # one value, two positions
 
     weight = t1.weight.relabel([x - 1 for x in a]) * t2.weight.relabel([x - 1 for x in b])
-    packed = PartialPermutation(tuple(edges.keys()), tuple(edges.values()))
-    return ConstrainedTranslate(packed, frozenset(C1 | C2), weight)
+    return edges, C1 | C2, weight
+
+
+def _streamed_type_sums(left: RegularStatistic, right: RegularStatistic) -> dict[CyclePathType, Poly]:
+    """type_sums of left * right without building it.  The weights of the
+    placements are added per translate key, as the canonical form adds
+    them, and a key whose weight cancels is dropped; the keys left are
+    checked as translates and visited in the canonical order, so the types
+    come in the order that grouping the built product gives.  Their weights
+    are added again per (type, C), and each such weight takes one
+    constrained sum.  A type keeps its key even when its sum cancels."""
+    _check_placements(left, right)
+    by_key: dict[tuple, Poly] = {}
+    for t1 in left.translates:
+        for t2 in right.translates:
+            for a, b in covering_injections(t1.support_size, t2.support_size):
+                placed = _place(t1, t2, a, b)
+                if placed is None:
+                    continue
+                edges, C, w = placed
+                positions = tuple(sorted(edges))
+                key = (positions, tuple(edges[u] for u in positions), tuple(sorted(C)))
+                known = by_key.get(key)
+                by_key[key] = w if known is None else known + w
+
+    by_type: dict[tuple[CyclePathType, frozenset[int]], Poly] = {}
+    for key in sorted(by_key):
+        w = by_key[key]
+        if w.is_zero:
+            continue
+        positions, values, C = key
+        packed = PartialPermutation(positions, values)
+        constraints = frozenset(C)
+        _check_translate(packed, constraints, w)
+        group = (packed.cycle_path_type(), constraints)
+        known = by_type.get(group)
+        by_type[group] = w if known is None else known + w
+
+    sums: dict[CyclePathType, Poly] = {}
+    for (t, C), w in by_type.items():
+        S, _ = constrained_sum(w, t.support_size, C)
+        sums[t] = sums.get(t, ZERO) + S
+    return sums
+
+
+def _check_translate(packed: PartialPermutation, constraints: frozenset[int], weight: Poly) -> None:
+    """A translate's pattern is packed on its support [m], its constraints
+    lie in [m - 1], and its weight is nonzero and uses only x1..xm."""
+    if not packed.is_packed:
+        raise MalformedInputError(f"translate pattern {packed} is not packed")
+    m = len(packed.support)
+    if not constraints <= set(range(1, m)):
+        raise MalformedInputError(f"constraints {sorted(constraints)} not inside [{m - 1}]")
+    if weight.is_zero:
+        raise MalformedInputError("zero-weight translates are not constructed")
+    if weight.num_vars > m:
+        raise MalformedInputError(f"weight uses x{weight.num_vars} but the support is [{m}]")
+
+
+def _check_placements(left: RegularStatistic, right: RegularStatistic) -> None:
+    """Refuse a product that would try more than MAX_PLACEMENTS placements."""
+    sizes, others = (Counter(t.support_size for t in s.translates) for s in (left, right))
+    tries = sum(i * j * placements(m, l) for m, i in sizes.items() for l, j in others.items())
+    if tries > MAX_PLACEMENTS:
+        raise ResourceLimitError(
+            f"a product of {len(left.translates)} by {len(right.translates)} "
+            f"translates tries {tries} placements; the cap is {MAX_PLACEMENTS}"
+        )
+
+
+def _check_exponent(d: int) -> None:
+    if d < 1:
+        raise ValueError("powers start at 1")
+    if d > MAX_EXPONENT:
+        raise ResourceLimitError(f"exponent {d} exceeds the cap {MAX_EXPONENT}")

@@ -2,7 +2,10 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -155,33 +158,61 @@ class TestVerify:
         assert len(calls) == 33
 
 
-def count_products(monkeypatch, capsys, *argv):
-    calls = []
-    original = translates.translate_product
+def count_work(monkeypatch, capsys, *argv):
+    """What one command does in the engine: products of two translates
+    built through translate_product, streams of type sums, and pair
+    placements made by those streams (not by a built product)."""
+    counts = {"products": 0, "streams": 0, "streamed": 0}
+    building = []
+    product, stream, place = (
+        translates.translate_product, translates._streamed_type_sums, translates._place
+    )
 
-    def counting(t1, t2):
-        calls.append((t1, t2))
-        return original(t1, t2)
+    def counting_product(t1, t2):
+        counts["products"] += 1
+        building.append(True)
+        try:
+            return product(t1, t2)
+        finally:
+            building.pop()
 
-    monkeypatch.setattr(translates, "translate_product", counting)
-    code, _, _ = run(capsys, *argv)
+    def counting_stream(left, right):
+        counts["streams"] += 1
+        return stream(left, right)
+
+    def counting_place(*args):
+        if not building:
+            counts["streamed"] += 1
+        return place(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(translates, "translate_product", counting_product)
+        patch.setattr(translates, "_streamed_type_sums", counting_stream)
+        patch.setattr(translates, "_place", counting_place)
+        code, _, _ = run(capsys, *argv)
     assert code == 0
-    return len(calls)
+    return counts
 
 
 class TestPowersBuiltOnce:
     def test_lambda_reuses_the_moment_expansion(self, capsys, monkeypatch):
-        plain = count_products(monkeypatch, capsys, "moment", "maj", "-d", "2")
-        assert plain > 0
-        assert count_products(
+        plain = count_work(monkeypatch, capsys, "moment", "maj", "-d", "2")
+        # maj * maj is streamed, never built
+        assert plain == {"products": 0, "streams": 1, "streamed": plain["streamed"]}
+        assert plain["streamed"] > 0
+        assert count_work(
             monkeypatch, capsys, "moment", "maj", "-d", "2", "--lambda", "3,1"
         ) == plain
 
     def test_verify_builds_each_power_once(self, capsys, monkeypatch):
-        moment = count_products(monkeypatch, capsys, "moment", "exc", "-d", "3")
-        assert count_products(
-            monkeypatch, capsys, "verify", "exc", "--nmax", "3", "-d", "3"
-        ) == moment
+        moment = count_work(monkeypatch, capsys, "moment", "exc", "-d", "3")
+        # exc^2 is built from one product; exc^2 * exc is streamed, and
+        # tries its 161 placements once
+        assert moment == {"products": 1, "streams": 1, "streamed": 161}
+        verify = count_work(monkeypatch, capsys, "verify", "exc", "--nmax", "3", "-d", "3")
+        assert verify["products"] == moment["products"]
+        # type_sums(1), (2) and (3), each streamed once for all classes
+        assert verify["streams"] == 3
 
 
 class TestExpand:
@@ -264,12 +295,37 @@ class TestExitCodes:
         assert out == ""
         assert f"above the cap {sums.MAX_SUM_DEGREE}" in err
 
+    def test_power_of_many_variables_expands_in_seconds(self):
+        # 5,456 terms, by repeated multiplication rather than squaring
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        )}
+        done = subprocess.run(
+            [sys.executable, "-m", "cycstat.cli", "expand",
+             "T(U=(1,2,3,4);V=(2,3,4,5);C={};f=(x1+x2+x3+x4)^30)"],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert done.returncode == 0
+        weight = done.stdout.splitlines()[1]
+        assert weight.startswith("T(U=(1,2,3,4);V=(2,3,4,5);C={};f=")
+        assert weight.count(" + ") == 5455  # every coefficient is positive
+
     def test_weight_one_degree_over_the_cap(self, capsys):
         # support 2 and no constraint: deg S = deg f + 2
         f = f"x1^{sums.MAX_SUM_DEGREE - 1}"
         code, _, err = run(capsys, "moment", f"T(U=(1);V=(2);C={{}};f={f})")
         assert code == 3
         assert f"degree {sums.MAX_SUM_DEGREE + 1}" in err
+
+    def test_weights_summed_per_type_before_the_cap(self, capsys):
+        # both translates have type nu=[1] and C={}: their weights cancel
+        # before a sum is taken, so no sum of degree 252 is refused
+        code, out, _ = run(
+            capsys, "moment", "T(U=(1);V=(2);C={};f=x1^250) - T(U=(2);V=(1);C={};f=x1^250)"
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "moment d=1: 0"
 
     def test_product_over_the_cap_fails_fast(self, capsys):
         # exc^5 * exc would try 545,731 placements
@@ -372,7 +428,7 @@ class TestDiskCache:
 
     def test_warm_run_leaves_file_untouched(self, tmp_path, capsys, monkeypatch, fresh_cache):
         # every type `moment exc` needs, in a layout the cache never writes
-        types = parse_statistic("exc").type_sums
+        types = parse_statistic("exc").type_sums(1)
         content = json.dumps(
             {t.key: to_json_dict(indicator.indicator_moment(t)) for t in types}, indent=2
         ).encode()

@@ -51,6 +51,20 @@ class TestArithmetic:
     def test_pow(self):
         assert (N + ONE) ** 3 == N**3 + 3 * N**2 + 3 * N + ONE
 
+    @pytest.mark.parametrize("base", [
+        N + ONE,
+        xvar(1) + xvar(2) + xvar(3) + xvar(4),
+        Fraction(1, 2) * mvar(1) ** 2 - 3 * N * mvar(2) + ONE,
+        Fraction(-2, 3) * xvar(2) ** 3,
+        Poly.const(Fraction(3, 2)),
+        ZERO,
+    ])
+    def test_pow_is_the_repeated_product(self, base):
+        product = ONE
+        for k in range(13):
+            assert base**k == product
+            product = product * base
+
     def test_negative_pow_rejected(self):
         with pytest.raises(ValueError):
             (N + ONE) ** (-1)

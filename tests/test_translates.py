@@ -10,10 +10,12 @@ import pytest
 
 from cycstat import translates
 from cycstat.errors import MalformedInputError, ResourceLimitError
+from cycstat.dsl import parse_statistic
 from cycstat.oracle import class_moment, partitions
 from cycstat.partial import PartialPermutation
 from cycstat.patterns import exc, maj
-from cycstat.poly import ONE, Poly, mvar, xvar
+from cycstat.poly import ONE, ZERO, Poly, mvar, xvar
+from cycstat.sums import constrained_sum
 from cycstat.translates import (
     ConstrainedTranslate,
     RegularStatistic,
@@ -231,24 +233,7 @@ class TestPowers:
 
     def test_concurrent_callers_get_one_object(self):
         s = exc()
-        barrier = threading.Barrier(8, timeout=60)
-        results = [None] * 8
-
-        def cube(i):
-            barrier.wait()
-            results[i] = s**3
-
-        threads = [threading.Thread(target=cube, args=(i,)) for i in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        results = _from_eight_threads(lambda: s**3)
         assert all(r is results[0] for r in results)
         assert results[0] == exc() ** 3
         assert s**2 * s == results[0]
@@ -262,11 +247,24 @@ class TestPowers:
         assert s == maj() and maj() == s and hash(s) == hash(maj())
         assert {s: 1}[maj()] == 1
 
-    def test_type_sums_grouped_once(self):
+    def test_type_sums_grouped_once(self, monkeypatch):
+        streams = []
+        original = translates._streamed_type_sums
+
+        def counting(left, right):
+            streams.append(left)
+            return original(left, right)
+
+        monkeypatch.setattr(translates, "_streamed_type_sums", counting)
         s = maj()
-        assert s.type_sums is s.type_sums
-        with pytest.raises(TypeError):
-            s.type_sums[next(iter(s.type_sums))] = ONE
+        for d in (1, 2):
+            sums = s.type_sums(d)
+            assert s.type_sums(d) is sums
+            with pytest.raises(TypeError):
+                sums[next(iter(sums))] = ONE
+        s.moment(2)
+        s.moment_at((3, 1), 2)
+        assert len(streams) == 2
 
     def test_product_over_the_placement_cap(self, monkeypatch):
         # exc^2 * exc tries 161 placements
@@ -276,12 +274,110 @@ class TestPowers:
         with pytest.raises(ResourceLimitError, match="161 placements"):
             exc() ** 2 * exc()
 
+    def test_streamed_product_over_the_placement_cap(self, monkeypatch):
+        # exc^3 streams exc^2 * exc: the same 161 placements, the same message
+        monkeypatch.setattr(translates, "MAX_PLACEMENTS", 161)
+        assert exc().type_sums(3)
+        monkeypatch.setattr(translates, "MAX_PLACEMENTS", 160)
+        with pytest.raises(ResourceLimitError, match="161 placements"):
+            exc().type_sums(3)
+
+    def test_concurrent_callers_get_one_grouping(self):
+        s = exc()
+        results = _from_eight_threads(lambda: s.type_sums(3))
+        assert all(r is results[0] for r in results)
+        assert results[0] == _grouped(exc() ** 3)
+
     def test_exponent_cap(self):
         two = RegularStatistic.constant(2)
         cap = translates.MAX_EXPONENT
         assert two**cap == RegularStatistic.constant(2**cap)
         with pytest.raises(ResourceLimitError):
             two ** (cap + 1)
+
+
+def _from_eight_threads(call):
+    """call() from eight threads released together, switching as often as
+    the interpreter allows; their results."""
+    barrier = threading.Barrier(8, timeout=60)
+    results = [None] * 8
+
+    def run(i):
+        barrier.wait()
+        results[i] = call()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
+def _grouped(power):
+    """type_sums grouped from the built power: one constrained sum per
+    translate, added up per type in the order of the translates."""
+    out = {}
+    for t in power.translates:
+        S, _ = constrained_sum(t.weight, t.support_size, t.constraints)
+        key = t.packed.cycle_path_type()
+        out[key] = out.get(key, ZERO) + S
+    return out
+
+
+STREAMED = [("exc", d) for d in (1, 2, 3, 4)] + [
+    (expr, d)
+    for expr in (
+        "des", "maj", "inv", "N(12)", "N(21;A={1})", "exc - des", "maj - inv",
+        "N(12) - N(21)", "2*exc + 1/2*fix", "3", "0",
+        "biv(1;A={};B={};f=x1^6;g=1)", "biv(21;A={1};B={};f=x1^2;g=x2^2)",
+    )
+    for d in (1, 2)
+] + [("cyc2 - fix", 3)]
+# the cases with a type whose sum cancels to zero
+CANCELLING = {
+    ("exc - des", 2), ("maj - inv", 1), ("maj - inv", 2), ("N(12) - N(21)", 1), ("N(12) - N(21)", 2),
+}
+
+
+class TestTypeSums:
+    @pytest.mark.parametrize("expr, d", STREAMED, ids=[f"{e} d={d}" for e, d in STREAMED])
+    def test_streamed_equals_grouped_power(self, expr, d):
+        s = parse_statistic(expr)
+        streamed = s.type_sums(d)
+        grouped = _grouped(s**d)
+        # the same keys in the same order, a type whose sum cancels included
+        assert list(streamed) == list(grouped)
+        assert dict(streamed) == grouped
+        assert any(S.is_zero for S in streamed.values()) == ((expr, d) in CANCELLING)
+
+    def test_bad_placement_raises_as_when_built(self, monkeypatch):
+        # a placement off its union [r] fails the translate checks in both paths
+        place = translates._place
+
+        def shifted(*args):
+            placed = place(*args)
+            if placed is None:
+                return None
+            edges, C, w = placed
+            return {u + 1: v + 1 for u, v in edges.items()}, C, w
+
+        monkeypatch.setattr(translates, "_place", shifted)
+        for build in (lambda: exc() ** 2, lambda: exc().type_sums(2)):
+            with pytest.raises(MalformedInputError, match="is not packed"):
+                build()
+
+    def test_bad_order(self):
+        with pytest.raises(ValueError):
+            exc().type_sums(0)
+        with pytest.raises(ResourceLimitError):
+            RegularStatistic.constant(2).type_sums(translates.MAX_EXPONENT + 1)
 
 
 def _small_translates():
