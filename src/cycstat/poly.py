@@ -165,6 +165,28 @@ class Poly:
             total += term
         return total
 
+    def sum_over(self, points) -> Fraction:
+        """The sum of evaluate(x) over the points x.  Each monomial is summed
+        in integers over the points and multiplied by its coefficient once;
+        a point too short for a monomial gives it 0, as in evaluate."""
+        points = list(points)
+        total = Fraction(0)
+        for exps, coef in self.terms.items():
+            # exps has no trailing zero, so a point shorter than exps misses
+            # a variable of positive exponent
+            width = len(exps)
+            factors = [(i, e) for i, e in enumerate(exps) if e]
+            s = 0
+            for x in points:
+                if len(x) >= width:
+                    term = 1
+                    for i, e in factors:
+                        term *= x[i] ** e
+                    s += term
+            if s:
+                total += coef * s
+        return total
+
     def substitute(self, mapping: dict[int, "Poly"]) -> "Poly":
         """Replace variable i by mapping[i] (a Poly); unmapped variables stay."""
         out = Poly()

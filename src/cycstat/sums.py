@@ -85,8 +85,7 @@ def constrained_sum(f: Poly, k: int, C: frozenset[int]) -> tuple[Poly, Poly]:
             total[j] += coef * c
     S = sum((c * binomial_poly(q, j) for j, c in enumerate(total) if c), ZERO)
     for n in (k + 1, k + 2):
-        direct = sum((f.evaluate(x) for x in constrained_subsets(n, k, C)), Fraction(0))
-        if S.evaluate((n,)) != direct:
+        if S.evaluate((n,)) != f.sum_over(constrained_subsets(n, k, C)):
             raise InternalConsistencyError(
                 f"constrained sum disagrees with the direct sum at n={n}; "
                 f"k={k}, C={sorted(C)}"

@@ -26,6 +26,7 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 
 from .errors import InternalConsistencyError, MalformedInputError, ResourceLimitError
@@ -33,7 +34,7 @@ from .expectation import RationalExpectation, ZERO_EXPECTATION, evaluation_point
 from .indicator import indicator_moment
 from .partial import CyclePathType, PartialPermutation, covering_injections, placements, push_adjacencies
 from .poly import ZERO, Poly, falling_factorial_value, to_text, WEIGHT_VARS
-from .sums import constrained_subsets, constrained_sum
+from .sums import constrained_sum
 
 # Most placements (pairs from covering_injections, over all pairs of
 # translates) one product may try; at about 30 us each, about 10 s.
@@ -81,16 +82,69 @@ class ConstrainedTranslate:
     def key(self):
         return (self.packed.positions, self.packed.values, tuple(sorted(self.constraints)))
 
+    @cached_property
+    def _steps(self) -> tuple[tuple[bool, int | None, int | None, bool], ...]:
+        """For each support point i, in increasing order: whether i - 1 is in
+        C, the earlier point u with an edge u -> i, the earlier point v with
+        an edge i -> v (0-based, None when there is none), and whether
+        i -> i is an edge."""
+        into = {v: u for u, v in zip(self.packed.positions, self.packed.values)}
+        out = dict(zip(self.packed.positions, self.packed.values))
+        return tuple(
+            (
+                i - 1 in self.constraints,
+                into[i] - 1 if into.get(i, i) < i else None,
+                out[i] - 1 if out.get(i, i) < i else None,
+                out.get(i) == i,
+            )
+            for i in range(1, self.support_size + 1)
+        )
+
     def evaluate(self, pi) -> Fraction:
-        """Direct summation over constrained subsets of [n] for an explicit
-        permutation pi (one-line notation, pi[i-1] = pi(i))."""
+        """The sum of f(L) over the C-constrained m-subsets L of [n] on which
+        pi (one-line notation, pi[i-1] = pi(i)) maps L_u to L_v on every
+        edge u -> v, straight from the definition.
+
+        L_1 < ... < L_m are assigned in increasing order of support point,
+        following pi: a point forced adjacent to the one before it has the
+        one candidate L_{i-1} + 1, the head of an edge u -> i from an earlier
+        point has pi(L_u), and the tail of an edge i -> v to an earlier point
+        has pi^-1(L_v); only the other points range over [n].  Each point's
+        adjacency, its edges to earlier points and its fixed-point loop are
+        checked as soon as it is placed, and the weight is summed once over
+        the matches."""
         n = len(pi)
-        total = Fraction(0)
-        edges = list(zip(self.packed.positions, self.packed.values))
-        for L in constrained_subsets(n, self.support_size, self.constraints):
-            if all(pi[L[u - 1] - 1] == L[v - 1] for u, v in edges):
-                total += self.weight.evaluate(L)
-        return total
+        steps = self._steps
+        m = len(steps)
+        inverse = [0] * (n + 1)
+        for x, y in enumerate(pi, 1):
+            inverse[y] = x
+        matches: list[tuple[int, ...]] = [()]
+        for i, (adjacent, head_of, tail_of, loop) in enumerate(steps):
+            hi = n - m + i + 1  # room is left for the points after i
+            placed = []
+            for L in matches:
+                lo = L[-1] + 1 if L else 1
+                if adjacent:
+                    candidates = (lo,)
+                elif head_of is not None:
+                    candidates = (pi[L[head_of] - 1],)
+                elif tail_of is not None:
+                    candidates = (inverse[L[tail_of]],)
+                else:
+                    candidates = range(lo, hi + 1)
+                for x in candidates:
+                    if not lo <= x <= hi:
+                        continue
+                    if head_of is not None and pi[L[head_of] - 1] != x:
+                        continue
+                    if tail_of is not None and pi[x - 1] != L[tail_of]:
+                        continue
+                    if loop and pi[x - 1] != x:
+                        continue
+                    placed.append(L + (x,))
+            matches = placed
+        return self.weight.sum_over(matches)
 
     def __str__(self) -> str:
         u = ",".join(map(str, self.packed.positions))

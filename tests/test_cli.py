@@ -14,6 +14,7 @@ import pytest
 from cycstat import indicator, sums, translates
 from cycstat.cli import _build_parser, main
 from cycstat.dsl import parse_statistic
+from cycstat.oracle import descent_count
 from cycstat.poly import to_json_dict
 from cycstat.translates import RegularStatistic
 
@@ -156,6 +157,27 @@ class TestVerify:
         assert out.splitlines()[-1] == "33/33 cells passed"
         # the 1! + 2! + 3! + 4! permutations, once for all three orders
         assert len(calls) == 33
+
+    def test_translates_are_not_evaluated_by_a_subset_scan(self, capsys, monkeypatch):
+        # the oracle follows pi from a translate's free points; the engine's
+        # direct-sum check in sums keeps its own scan
+        def refuse(*args):
+            raise AssertionError("a translate scanned the constrained subsets")
+
+        monkeypatch.setattr(translates, "constrained_subsets", refuse, raising=False)
+        code, out, _ = run(capsys, "verify", "exc", "--nmax", "5", "-d", "2")
+        assert code == 0
+        assert out.splitlines()[-1] == "36/36 cells passed"
+
+    def test_failing_cell(self, capsys, monkeypatch):
+        # the oracle evaluates des while the engine computes exc: they agree
+        # on S_1 and S_2 but not on the classes (3) and (2,1) of S_3
+        monkeypatch.setattr(RegularStatistic, "evaluate", lambda self, pi: descent_count(pi))
+        code, out, _ = run(capsys, "verify", "exc", "--nmax", "3", "-d", "1")
+        assert code == 1
+        assert "FAIL lambda=(3) d=1 engine=3/2 oracle=1" in out.splitlines()
+        assert "FAIL lambda=(2,1) d=1 engine=1 oracle=4/3" in out.splitlines()
+        assert out.splitlines()[-1] == "4/6 cells passed"
 
 
 def count_work(monkeypatch, capsys, *argv):

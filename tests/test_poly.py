@@ -96,6 +96,32 @@ def test_graded_degree_multiplicative(a, b):
         assert (a * b).graded_degree() == a.graded_degree() + b.graded_degree()
 
 
+@given(
+    poly_strategy(max_vars=4),
+    st.lists(st.lists(st.integers(-4, 9), max_size=4).map(tuple), max_size=6),
+)
+def test_sum_over_is_the_sum_of_evaluations(p, points):
+    # points of every length up to 4, so some are shorter than num_vars
+    assert p.sum_over(points) == sum((p.evaluate(x) for x in points), Fraction(0))
+
+
+class TestSumOver:
+    def test_empty_list(self):
+        assert xvar(1).sum_over([]) == 0 and Poly.const(3).sum_over(iter(())) == 0
+
+    def test_constant_and_zero(self):
+        assert Poly.const(Fraction(3, 2)).sum_over([(), (1,), (4, 5)]) == Fraction(9, 2)
+        assert ZERO.sum_over([(1, 2), (3, 4)]) == 0
+
+    def test_short_points_count_missing_values_as_zero(self):
+        p = xvar(1) * xvar(3) + Fraction(1, 3) * xvar(1) + 2
+        # (2,): x1 = 2, x3 missing; (2, 5, 7): all three present
+        assert p.sum_over([(2,), (2, 5, 7)]) == (Fraction(2, 3) + 2) + (14 + Fraction(2, 3) + 2)
+
+    def test_returns_a_fraction(self):
+        assert isinstance(xvar(1).sum_over([(1,), (2,)]), Fraction)
+
+
 class TestSubstitute:
     def test_variable_replacement(self):
         p = xvar(1) ** 2 + xvar(2)

@@ -15,7 +15,7 @@ from cycstat.oracle import class_moment, partitions
 from cycstat.partial import PartialPermutation
 from cycstat.patterns import exc, maj
 from cycstat.poly import ONE, ZERO, Poly, mvar, xvar
-from cycstat.sums import constrained_sum
+from cycstat.sums import constrained_subsets, constrained_sum
 from cycstat.translates import (
     ConstrainedTranslate,
     RegularStatistic,
@@ -54,6 +54,25 @@ class TestConstruction:
         assert (t.size, t.shift, t.power) == (2, 1, 3)
 
 
+# constraints (des, N(21;A={1})), fixed-point loops (fix), two-variable
+# weights (the biv), fractional coefficients, constants and squares
+REFERENCE_STATISTICS = (
+    "exc", "des", "maj", "inv", "fix", "cyc2", "N(123)", "N(21;A={1})",
+    "biv(21;A={1};B={};f=x1^2;g=x2^2)", "biv(132;A={1};B={2};f=x1*x3;g=x2+1)",
+    "exc - des", "2*exc + 1/2*fix", "3", "exc^2", "des^2", "cyc2^2", "fix^2",
+)
+
+
+def scanned_evaluate(t, pi):
+    """A translate at pi by scanning every C-constrained m-subset of [n]."""
+    total = Fraction(0)
+    edges = list(zip(t.packed.positions, t.packed.values))
+    for L in constrained_subsets(len(pi), t.support_size, t.constraints):
+        if all(pi[L[u - 1] - 1] == L[v - 1] for u, v in edges):
+            total += t.weight.evaluate(L)
+    return total
+
+
 class TestEvaluate:
     def test_excedance_on_three_cycle(self):
         # pi = 1->2->3->1 in one-line notation (2,3,1): excedances at 1, 2
@@ -70,6 +89,23 @@ class TestEvaluate:
         # weighted fixed-point positions of the identity on [3]: 1+2+3
         t = ConstrainedTranslate(PartialPermutation((1,), (1,)), frozenset(), xvar(1))
         assert t.evaluate((1, 2, 3)) == 6
+
+    def test_follows_pi_from_the_free_point(self):
+        # a path of four points on a 300-cycle i -> i+1: 297 runs of four
+        # consecutive points, found by following pi from L_1; a scan of the
+        # C(300, 4), about 330 million, subsets would not finish
+        t = ConstrainedTranslate(PartialPermutation((1, 2, 3), (2, 3, 4)), frozenset(), xvar(1))
+        pi = tuple(range(2, 301)) + (1,)
+        assert t.evaluate(pi) == sum(range(1, 298))
+
+    @pytest.mark.parametrize("expr,nmax", [(e, 5) for e in REFERENCE_STATISTICS] + [
+        ("exc^2", 6), ("des", 6), ("biv(21;A={1};B={};f=x1^2;g=x2^2)", 6),
+    ])
+    def test_equals_the_subset_scan(self, expr, nmax):
+        for t in parse_statistic(expr).translates:
+            for n in range(nmax + 1):
+                for pi in permutations(range(1, n + 1)):
+                    assert t.evaluate(pi) == scanned_evaluate(t, pi), (str(t), pi)
 
 
 class TestExpectation:
