@@ -6,18 +6,19 @@ agrees with the relabeled partial permutation (L(U), L(V)).  Regular
 statistics are linear combinations of translates; they are closed under
 products.
 
+Every product goes through one routine, _product: it places every pair of
+a translate of the left factor and one of the right, and _canonical adds
+the placements' weights per translate key, which is also how a statistic
+merges its own translates.  Psi * Psi' keeps the result as a statistic.
+
 A statistic builds each power Psi^d once and keeps it.  Every moment reads
 type_sums(d): the constrained sums S(n) of the translates of Psi^d added up
 per cycle-path type (mu, nu).  A translate's class expectation is
 S * f_{(mu,nu)} / (n)_m, and f and the support size m depend on the type
-alone; its uniform expectation is S / (n)_k for k pairs.
-
-type_sums(d) never builds Psi^d.  It places every pair of a translate of
-Psi^(d-1) and one of Psi and adds each placement's weight into its
-translate key, as the canonical form of Psi^d would; each surviving key
-passes a translate's checks and is then added into the key (type, C).
-Since S is linear in the weight, one constrained sum per (type, C) gives
-the same sums as one per translate.
+alone; its uniform expectation is S / (n)_k for k pairs.  type_sums(d)
+groups the translates of _product(Psi^(d-1), Psi) by (type, C) and keeps
+only the sums, never Psi^d; since S is linear in the weight, one
+constrained sum per (type, C) gives the same sums as one per translate.
 """
 
 from __future__ import annotations
@@ -37,8 +38,10 @@ from .poly import ZERO, Poly, falling_factorial_value, to_text, WEIGHT_VARS
 from .sums import constrained_sum
 
 # Most placements (pairs from covering_injections, over all pairs of
-# translates) one product may try; at about 30 us each, about 10 s.
-# cyc2^5 * cyc2 tries 225,481 and exc^5 * exc 545,731.
+# translates) one product may try.  A placement costs about 15-25 us, built
+# or streamed (exc^4 * exc and cyc2^4 * cyc2 on a 2-vCPU host, Python 3.11),
+# so the cap is about 5-8 s.  cyc2^5 * cyc2 tries 225,481 and exc^5 * exc
+# 545,731.
 MAX_PLACEMENTS = 300_000
 
 # Highest power built.  Every power is kept, and a product of constants tries
@@ -59,8 +62,18 @@ class ConstrainedTranslate:
     weight: Poly
 
     def __post_init__(self):
+        """The pattern is packed on its support [m], the constraints lie in
+        [m - 1], and the weight is nonzero and uses only x1..xm."""
         object.__setattr__(self, "constraints", frozenset(int(c) for c in self.constraints))
-        _check_translate(self.packed, self.constraints, self.weight)
+        if not self.packed.is_packed:
+            raise MalformedInputError(f"translate pattern {self.packed} is not packed")
+        m = len(self.packed.support)
+        if not self.constraints <= set(range(1, m)):
+            raise MalformedInputError(f"constraints {sorted(self.constraints)} not inside [{m - 1}]")
+        if self.weight.is_zero:
+            raise MalformedInputError("zero-weight translates are not constructed")
+        if self.weight.num_vars > m:
+            raise MalformedInputError(f"weight uses x{self.weight.num_vars} but the support is [{m}]")
 
     @property
     def size(self) -> int:
@@ -162,21 +175,7 @@ class RegularStatistic:
     translates: tuple[ConstrainedTranslate, ...]
 
     def __post_init__(self):
-        merged: dict[tuple, tuple[PartialPermutation, frozenset[int], Poly]] = {}
-        for t in self.translates:
-            key = t.key
-            if key in merged:
-                p, c, w = merged[key]
-                merged[key] = (p, c, w + t.weight)
-            else:
-                merged[key] = (t.packed, t.constraints, t.weight)
-        out = [
-            ConstrainedTranslate(p, c, w)
-            for p, c, w in merged.values()
-            if not w.is_zero
-        ]
-        out.sort(key=lambda t: t.key)
-        object.__setattr__(self, "translates", tuple(out))
+        object.__setattr__(self, "translates", _canonical((t.key, t.weight) for t in self.translates))
 
     @classmethod
     def constant(cls, c) -> "RegularStatistic":
@@ -223,12 +222,7 @@ class RegularStatistic:
 
     def __mul__(self, other):
         if isinstance(other, RegularStatistic):
-            _check_placements(self, other)
-            parts: list[ConstrainedTranslate] = []
-            for t1 in self.translates:
-                for t2 in other.translates:
-                    parts.extend(translate_product(t1, t2).translates)
-            return RegularStatistic(tuple(parts))
+            return RegularStatistic(_product(self, other))
         return self.__rmul__(other)
 
     def __pow__(self, d: int) -> "RegularStatistic":
@@ -244,16 +238,16 @@ class RegularStatistic:
 
     def type_sums(self, d: int) -> Mapping[CyclePathType, Poly]:
         """Psi^d grouped by cycle-path type: the sum of the constrained sums
-        S(n) of its translates of each type, streamed from Psi^(d-1) * Psi
-        once and kept; setdefault makes concurrent callers agree on one
-        object."""
+        S(n) of its translates of each type, grouped from
+        _product(Psi^(d-1), Psi) once and kept, while Psi^d is not;
+        setdefault makes concurrent callers agree on one object."""
         _check_exponent(d)
         memo = self.__dict__.setdefault("_type_sums", {})
         known = memo.get(d)
         if known is not None:
             return known
         left = self ** (d - 1) if d > 1 else RegularStatistic.constant(1)
-        return memo.setdefault(d, MappingProxyType(_streamed_type_sums(left, self)))
+        return memo.setdefault(d, MappingProxyType(_grouped_sums(_product(left, self))))
 
     # -- evaluation ---------------------------------------------------
 
@@ -354,29 +348,44 @@ def _over_falling(nums: dict[int, Poly]) -> RationalExpectation:
 
 
 def translate_product(t1: ConstrainedTranslate, t2: ConstrainedTranslate) -> RegularStatistic:
-    """Expand the pointwise product of two translates.
-
-    Every pair of constrained subsets (L1, L2) has a union of some size r;
-    fixing the order-preserving injections of the two supports into [r]
-    splits the product into translates on [r].  Overlap patterns whose merged
-    edges are inconsistent, or whose adjacency constraints cannot be realized
-    by increasing subsets, contribute nothing.
-    """
-    out: list[ConstrainedTranslate] = []
-    for a, b in covering_injections(t1.support_size, t2.support_size):
-        merged = _merge_overlap(t1, t2, a, b)
-        if merged is not None:
-            out.append(merged)
-    return RegularStatistic(tuple(out))
+    """The pointwise product of two translates: the one-pair case of
+    RegularStatistic * RegularStatistic."""
+    return RegularStatistic((t1,)) * RegularStatistic((t2,))
 
 
-def _merge_overlap(t1, t2, a, b):
-    placed = _place(t1, t2, a, b)
-    if placed is None:
-        return None
-    edges, C, weight = placed
-    packed = PartialPermutation(tuple(edges.keys()), tuple(edges.values()))
-    return ConstrainedTranslate(packed, frozenset(C), weight)
+def _product(left: RegularStatistic, right: RegularStatistic) -> tuple[ConstrainedTranslate, ...]:
+    """The translates of left * right in canonical form.  Every pair of
+    constrained subsets (L1, L2) has a union of some size r; fixing the
+    order-preserving injections of the two supports into [r] splits the
+    product of two translates into translates on [r]."""
+    _check_placements(left, right)
+
+    def placed():
+        for t1 in left.translates:
+            for t2 in right.translates:
+                for a, b in covering_injections(t1.support_size, t2.support_size):
+                    out = _place(t1, t2, a, b)
+                    if out is not None:
+                        edges, C, w = out
+                        positions = tuple(sorted(edges))
+                        yield (positions, tuple(edges[u] for u in positions), tuple(sorted(C))), w
+
+    return _canonical(placed())
+
+
+def _canonical(pairs) -> tuple[ConstrainedTranslate, ...]:
+    """The translates of (key, weight) pairs, key = (positions, values, C):
+    the weights added per key, the keys whose weight cancels dropped, and
+    the rest checked as translates, in key order."""
+    by_key: dict[tuple, Poly] = {}
+    for key, w in pairs:
+        known = by_key.get(key)
+        by_key[key] = w if known is None else known + w
+    return tuple(
+        ConstrainedTranslate(PartialPermutation(positions, values), frozenset(C), w)
+        for (positions, values, C), w in sorted(by_key.items())  # the keys are distinct
+        if not w.is_zero
+    )
 
 
 def _place(t1, t2, a, b):
@@ -404,60 +413,23 @@ def _place(t1, t2, a, b):
     return edges, C1 | C2, weight
 
 
-def _streamed_type_sums(left: RegularStatistic, right: RegularStatistic) -> dict[CyclePathType, Poly]:
-    """type_sums of left * right without building it.  The weights of the
-    placements are added per translate key, as the canonical form adds
-    them, and a key whose weight cancels is dropped; the keys left are
-    checked as translates and visited in the canonical order, so the types
-    come in the order that grouping the built product gives.  Their weights
-    are added again per (type, C), and each such weight takes one
-    constrained sum.  A type keeps its key even when its sum cancels."""
-    _check_placements(left, right)
-    by_key: dict[tuple, Poly] = {}
-    for t1 in left.translates:
-        for t2 in right.translates:
-            for a, b in covering_injections(t1.support_size, t2.support_size):
-                placed = _place(t1, t2, a, b)
-                if placed is None:
-                    continue
-                edges, C, w = placed
-                positions = tuple(sorted(edges))
-                key = (positions, tuple(edges[u] for u in positions), tuple(sorted(C)))
-                known = by_key.get(key)
-                by_key[key] = w if known is None else known + w
-
+def _grouped_sums(translates) -> dict[CyclePathType, Poly]:
+    """The constrained sums S(n) of the translates, added up per cycle-path
+    type.  S is linear in the weight, so the weights are first added per
+    (type, C) and each such weight takes one constrained sum.  The types
+    come in the order of their first translate, and a type keeps its key
+    even when its sum cancels."""
     by_type: dict[tuple[CyclePathType, frozenset[int]], Poly] = {}
-    for key in sorted(by_key):
-        w = by_key[key]
-        if w.is_zero:
-            continue
-        positions, values, C = key
-        packed = PartialPermutation(positions, values)
-        constraints = frozenset(C)
-        _check_translate(packed, constraints, w)
-        group = (packed.cycle_path_type(), constraints)
+    for t in translates:
+        group = (t.packed.cycle_path_type(), t.constraints)
         known = by_type.get(group)
-        by_type[group] = w if known is None else known + w
+        by_type[group] = t.weight if known is None else known + t.weight
 
     sums: dict[CyclePathType, Poly] = {}
     for (t, C), w in by_type.items():
         S, _ = constrained_sum(w, t.support_size, C)
         sums[t] = sums.get(t, ZERO) + S
     return sums
-
-
-def _check_translate(packed: PartialPermutation, constraints: frozenset[int], weight: Poly) -> None:
-    """A translate's pattern is packed on its support [m], its constraints
-    lie in [m - 1], and its weight is nonzero and uses only x1..xm."""
-    if not packed.is_packed:
-        raise MalformedInputError(f"translate pattern {packed} is not packed")
-    m = len(packed.support)
-    if not constraints <= set(range(1, m)):
-        raise MalformedInputError(f"constraints {sorted(constraints)} not inside [{m - 1}]")
-    if weight.is_zero:
-        raise MalformedInputError("zero-weight translates are not constructed")
-    if weight.num_vars > m:
-        raise MalformedInputError(f"weight uses x{weight.num_vars} but the support is [{m}]")
 
 
 def _check_placements(left: RegularStatistic, right: RegularStatistic) -> None:

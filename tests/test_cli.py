@@ -15,6 +15,7 @@ from cycstat import indicator, sums, translates
 from cycstat.cli import _build_parser, main
 from cycstat.dsl import parse_statistic
 from cycstat.oracle import descent_count
+from cycstat.partial import placements
 from cycstat.poly import to_json_dict
 from cycstat.translates import RegularStatistic
 
@@ -181,36 +182,29 @@ class TestVerify:
 
 
 def count_work(monkeypatch, capsys, *argv):
-    """What one command does in the engine: products of two translates
-    built through translate_product, streams of type sums, and pair
-    placements made by those streams (not by a built product)."""
-    counts = {"products": 0, "streams": 0, "streamed": 0}
-    building = []
-    product, stream, place = (
-        translates.translate_product, translates._streamed_type_sums, translates._place
-    )
+    """What one command does in the engine: the products of two statistics
+    (`_product`), in the order they are taken, each with the pair
+    placements it tries, and how many of them are built into a statistic
+    (`RegularStatistic.__mul__`); the others are streamed into type sums."""
+    counts = {"built": 0, "placements": []}
+    product, place, multiply = translates._product, translates._place, RegularStatistic.__mul__
 
-    def counting_product(t1, t2):
-        counts["products"] += 1
-        building.append(True)
-        try:
-            return product(t1, t2)
-        finally:
-            building.pop()
-
-    def counting_stream(left, right):
-        counts["streams"] += 1
-        return stream(left, right)
+    def counting_product(left, right):
+        counts["placements"].append(0)
+        return product(left, right)
 
     def counting_place(*args):
-        if not building:
-            counts["streamed"] += 1
+        counts["placements"][-1] += 1
         return place(*args)
 
+    def counting_multiply(left, right):
+        counts["built"] += isinstance(right, RegularStatistic)
+        return multiply(left, right)
+
     with monkeypatch.context() as patch:
-        patch.setattr(translates, "translate_product", counting_product)
-        patch.setattr(translates, "_streamed_type_sums", counting_stream)
+        patch.setattr(translates, "_product", counting_product)
         patch.setattr(translates, "_place", counting_place)
+        patch.setattr(RegularStatistic, "__mul__", counting_multiply)
         code, _, _ = run(capsys, *argv)
     assert code == 0
     return counts
@@ -220,21 +214,23 @@ class TestPowersBuiltOnce:
     def test_lambda_reuses_the_moment_expansion(self, capsys, monkeypatch):
         plain = count_work(monkeypatch, capsys, "moment", "maj", "-d", "2")
         # maj * maj is streamed, never built
-        assert plain == {"products": 0, "streams": 1, "streamed": plain["streamed"]}
-        assert plain["streamed"] > 0
+        assert plain["built"] == 0
+        assert len(plain["placements"]) == 1 and plain["placements"][0] > 0
         assert count_work(
             monkeypatch, capsys, "moment", "maj", "-d", "2", "--lambda", "3,1"
         ) == plain
 
     def test_verify_builds_each_power_once(self, capsys, monkeypatch):
+        square = placements(2, 2)
         moment = count_work(monkeypatch, capsys, "moment", "exc", "-d", "3")
         # exc^2 is built from one product; exc^2 * exc is streamed, and
         # tries its 161 placements once
-        assert moment == {"products": 1, "streams": 1, "streamed": 161}
+        assert moment == {"built": 1, "placements": [square, 161]}
         verify = count_work(monkeypatch, capsys, "verify", "exc", "--nmax", "3", "-d", "3")
-        assert verify["products"] == moment["products"]
-        # type_sums(1), (2) and (3), each streamed once for all classes
-        assert verify["streams"] == 3
+        assert verify["built"] == moment["built"]
+        # type_sums(1), (2) and (3), each streamed once for all classes, and
+        # the product that builds exc^2
+        assert verify["placements"] == [1, square, square, 161]
 
 
 class TestExpand:

@@ -252,16 +252,17 @@ class TestMoments:
 class TestPowers:
     def test_each_power_built_once(self, monkeypatch):
         calls = []
-        original = translates.translate_product
+        original = translates._product
 
-        def counting(t1, t2):
-            calls.append((t1, t2))
-            return original(t1, t2)
+        def counting(left, right):
+            calls.append((left, right))
+            return original(left, right)
 
-        monkeypatch.setattr(translates, "translate_product", counting)
+        monkeypatch.setattr(translates, "_product", counting)
         s = exc()
         cube = s**3
-        assert calls
+        # s^2 = s * s and s^3 = s^2 * s
+        assert len(calls) == 2
         calls.clear()
         assert s**3 is cube and s**1 is s
         assert not calls
@@ -284,14 +285,14 @@ class TestPowers:
         assert {s: 1}[maj()] == 1
 
     def test_type_sums_grouped_once(self, monkeypatch):
-        streams = []
-        original = translates._streamed_type_sums
+        products = []
+        original = translates._product
 
         def counting(left, right):
-            streams.append(left)
+            products.append(left)
             return original(left, right)
 
-        monkeypatch.setattr(translates, "_streamed_type_sums", counting)
+        monkeypatch.setattr(translates, "_product", counting)
         s = maj()
         for d in (1, 2):
             sums = s.type_sums(d)
@@ -300,7 +301,8 @@ class TestPowers:
                 sums[next(iter(sums))] = ONE
         s.moment(2)
         s.moment_at((3, 1), 2)
-        assert len(streams) == 2
+        # one stream each of 1 * maj and maj * maj; no power is built
+        assert products == [RegularStatistic.constant(1), s]
 
     def test_product_over_the_placement_cap(self, monkeypatch):
         # exc^2 * exc tries 161 placements
