@@ -96,10 +96,11 @@ def conjugacy_class(lam) -> list:
 
 
 def class_moment(evaluator, lam, d: int = 1) -> Fraction:
-    """Exact average of evaluator(w)^d over the class of cycle type lam."""
+    """Exact average of evaluator(w)^d over the class of cycle type lam.
+    The powers are added as they come, exact ints for an int-valued
+    evaluator, and the sum is divided by the class size once."""
     members = conjugacy_class(lam)
-    total = sum(Fraction(evaluator(w)) ** d for w in members)
-    return total / len(members)
+    return Fraction(sum(evaluator(w) ** d for w in members)) / len(members)
 
 
 def representative(lam) -> tuple[int, ...]:

@@ -167,10 +167,13 @@ class Poly:
 
     def sum_over(self, points) -> Fraction:
         """The sum of evaluate(x) over the points x.  Each monomial is summed
-        in integers over the points and multiplied by its coefficient once;
-        a point too short for a monomial gives it 0, as in evaluate."""
+        in integers over the points and multiplied by its coefficient once,
+        in integers too when the coefficient is an integer; a Fraction is
+        built only for a fractional coefficient and once for the total.  A
+        point too short for a monomial gives it 0, as in evaluate."""
         points = list(points)
-        total = Fraction(0)
+        total = 0
+        fractional = 0
         for exps, coef in self.terms.items():
             # exps has no trailing zero, so a point shorter than exps misses
             # a variable of positive exponent
@@ -184,8 +187,11 @@ class Poly:
                         term *= x[i] ** e
                     s += term
             if s:
-                total += coef * s
-        return total
+                if coef.denominator == 1:
+                    total += coef.numerator * s
+                else:
+                    fractional += coef * s
+        return total + fractional if fractional else Fraction(total)
 
     def substitute(self, mapping: dict[int, "Poly"]) -> "Poly":
         """Replace variable i by mapping[i] (a Poly); unmapped variables stay."""

@@ -113,7 +113,7 @@ class ConstrainedTranslate:
             for i in range(1, self.support_size + 1)
         )
 
-    def evaluate(self, pi) -> Fraction:
+    def evaluate(self, pi) -> int | Fraction:
         """The sum of f(L) over the C-constrained m-subsets L of [n] on which
         pi (one-line notation, pi[i-1] = pi(i)) maps L_u to L_v on every
         edge u -> v, straight from the definition.
@@ -125,7 +125,8 @@ class ConstrainedTranslate:
         has pi^-1(L_v); only the other points range over [n].  Each point's
         adjacency, its edges to earlier points and its fixed-point loop are
         checked as soon as it is placed, and the weight is summed once over
-        the matches."""
+        the matches.  The sum is an int whenever it is an integer, as it is
+        for every weight with integer coefficients."""
         n = len(pi)
         steps = self._steps
         m = len(steps)
@@ -157,7 +158,8 @@ class ConstrainedTranslate:
                         continue
                     placed.append(L + (x,))
             matches = placed
-        return self.weight.sum_over(matches)
+        total = self.weight.sum_over(matches)
+        return total.numerator if total.denominator == 1 else total
 
     def __str__(self) -> str:
         u = ",".join(map(str, self.packed.positions))
@@ -251,8 +253,10 @@ class RegularStatistic:
 
     # -- evaluation ---------------------------------------------------
 
-    def evaluate(self, pi) -> Fraction:
-        return sum((t.evaluate(pi) for t in self.translates), Fraction(0))
+    def evaluate(self, pi) -> int | Fraction:
+        """Psi(pi), the sum of its translates' values: an int whenever every
+        weight coefficient is an integer."""
+        return sum(t.evaluate(pi) for t in self.translates)
 
     # -- moments ------------------------------------------------------
 

@@ -26,6 +26,7 @@ from cycstat.oracle import (
     representative,
     two_cycle_count,
 )
+from cycstat.dsl import parse_statistic
 from cycstat.partial import CyclePathType, PartialPermutation
 
 
@@ -82,6 +83,21 @@ class TestClassMoment:
     def test_identity_class(self):
         assert class_moment(descent_count, (1, 1, 1, 1), 1) == 0
         assert class_moment(fixed_point_count, (1, 1, 1), 1) == 3
+
+    @pytest.mark.parametrize("evaluator", [
+        excedance_count,
+        parse_statistic("1/3*exc + 1/2").evaluate,
+        parse_statistic("-2*des").evaluate,
+    ], ids=["exc", "1/3*exc + 1/2", "-2*des"])
+    def test_equals_the_average_of_fraction_powers(self, evaluator):
+        # int-valued, Fraction-valued and negative evaluators alike
+        for n in (5, 6):
+            for lam in partitions(n):
+                values = [evaluator(w) for w in conjugacy_class(lam)]
+                for d in (1, 2, 3):
+                    reference = sum(Fraction(v) ** d for v in values) / len(values)
+                    moment = class_moment(evaluator, lam, d)
+                    assert type(moment) is Fraction and moment == reference, (lam, d)
 
 
 class TestCounts:

@@ -98,6 +98,30 @@ class TestEvaluate:
         pi = tuple(range(2, 301)) + (1,)
         assert t.evaluate(pi) == sum(range(1, 298))
 
+    @pytest.mark.parametrize("expr", ["exc", "des", "maj", "N(123)", "2*exc + fix"])
+    def test_integer_weights_evaluate_to_ints(self, expr):
+        # the oracle adds these values in exact ints and divides once
+        s = parse_statistic(expr)
+        for pi in permutations(range(1, 6)):
+            scanned = [scanned_evaluate(t, pi) for t in s.translates]
+            values = [t.evaluate(pi) for t in s.translates]
+            assert values == scanned and all(type(v) is int for v in values), (expr, pi)
+            total = s.evaluate(pi)
+            assert type(total) is int and total == sum(scanned), (expr, pi)
+
+    def test_fractional_weights_evaluate_to_exact_fractions(self):
+        # a translate's value is an int only when it is an integer; the
+        # statistic's (2*exc + 3)/6 never is
+        s = parse_statistic("1/3*exc + 1/2")
+        for pi in permutations(range(1, 6)):
+            scanned = [scanned_evaluate(t, pi) for t in s.translates]
+            for t, ref in zip(s.translates, scanned):
+                value = t.evaluate(pi)
+                assert value == ref, (str(t), pi)
+                assert type(value) is (int if ref.denominator == 1 else Fraction), (str(t), pi)
+            total = s.evaluate(pi)
+            assert type(total) is Fraction and total == sum(scanned), pi
+
     @pytest.mark.parametrize("expr,nmax", [(e, 5) for e in REFERENCE_STATISTICS] + [
         ("exc^2", 6), ("des", 6), ("biv(21;A={1};B={};f=x1^2;g=x2^2)", 6),
     ])
