@@ -111,7 +111,7 @@ def _cmd_moment(args, stat) -> int:
         result = stat.variance()
         label = "variance"
     else:
-        result = stat.moment(d)
+        result = stat.expectation(d)
         label = f"moment d={d}"
     lines = [f"{label}: {result}"]
     payload = _base_payload(args, stat)

@@ -54,10 +54,9 @@ class _Tokens:
                 raise ParseError(i, "a token", ch)
         self.pos = 0
 
-    def peek(self, ahead: int = 0):
-        idx = self.pos + ahead
-        if idx < len(self.items):
-            return self.items[idx]
+    def peek(self):
+        if self.pos < len(self.items):
+            return self.items[self.pos]
         return ("EOF", "", len(self.text))
 
     def next(self):
@@ -74,7 +73,11 @@ class _Tokens:
 
 def parse_statistic(text: str) -> RegularStatistic:
     toks = _Tokens(text)
-    stat = _parse_stat(toks)
+    try:
+        stat = _parse_stat(toks)
+    except RecursionError:
+        # the grammar is parsed by recursive descent, one frame per level
+        raise ResourceLimitError("expression nested too deeply") from None
     tok = toks.peek()
     if tok[0] != "EOF":
         raise ParseError(tok[2], "end of input or '+'", tok[1])

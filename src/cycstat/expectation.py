@@ -2,13 +2,16 @@
 
 A RationalExpectation stores E as num / prod_j (n)_{den[j]} with num an
 engine polynomial in n, m_1, m_2, ...  All arithmetic is exact; the
-denominator never involves the m-variables.
+denominator never involves the m-variables.  Every value is built in normal
+form: no (n)_a of the denominator divides the numerator exactly.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import perm, prod
 
 from .errors import DegenerateEvaluationError, InternalConsistencyError
 from .poly import (
@@ -16,24 +19,16 @@ from .poly import (
     N,
     divide_exact_in_n,
     falling_factorial_poly,
-    falling_factorial_value,
     integerize,
     to_json_dict,
     to_text,
 )
 
 
-def cycle_counts(lam) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for part in lam:
-        counts[part] = counts.get(part, 0) + 1
-    return counts
-
-
 def evaluation_point(lam) -> list[int]:
     """Engine-variable values (n, m_1, m_2, ...) for a partition lambda."""
     n = sum(lam)
-    counts = cycle_counts(lam)
+    counts = Counter(lam)
     return [n] + [counts.get(i, 0) for i in range(1, n + 1)]
 
 
@@ -43,45 +38,10 @@ class RationalExpectation:
     den: tuple[int, ...] = ()
 
     def __post_init__(self):
-        den = tuple(sorted((int(a) for a in self.den if a), reverse=True))
-        object.__setattr__(self, "den", den if not self.num.is_zero else ())
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other: "RationalExpectation") -> "RationalExpectation":
-        other = _coerce(other)
-        target = _common_den(self.den, other.den)
-        num = self.num * _cofactor(self.den, target) + other.num * _cofactor(
-            other.den, target
-        )
-        return RationalExpectation(num, target).normalized()
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalExpectation":
-        return RationalExpectation(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalExpectation":
-        return self + (-_coerce(other))
-
-    def __mul__(self, other) -> "RationalExpectation":
-        if isinstance(other, RationalExpectation):
-            return RationalExpectation(
-                self.num * other.num, self.den + other.den
-            ).normalized()
-        return RationalExpectation(self.num * other, self.den).normalized()
-
-    __rmul__ = __mul__
-
-    # -- normalization ------------------------------------------------
-
-    def normalized(self) -> "RationalExpectation":
-        """Divide out every falling-factorial factor that divides the
-        numerator exactly."""
+        """Keep the normal form: divide out every falling-factorial factor
+        that divides the numerator exactly, largest first, greedily."""
         num = self.num
-        if num.is_zero:
-            return RationalExpectation(num, ())
-        remaining = list(self.den)
+        remaining = [] if num.is_zero else sorted((int(a) for a in self.den if a), reverse=True)
         changed = True
         while changed:
             changed = False
@@ -92,14 +52,38 @@ class RationalExpectation:
                     del remaining[i]
                     changed = True
                     break
-        return RationalExpectation(num, tuple(remaining))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", tuple(remaining))
+
+    # -- arithmetic ---------------------------------------------------
+
+    def __add__(self, other: "RationalExpectation") -> "RationalExpectation":
+        other = _coerce(other)
+        target = _common_den(self.den, other.den)
+        num = self.num * _cofactor(self.den, target) + other.num * _cofactor(
+            other.den, target
+        )
+        return RationalExpectation(num, target)
+
+    def __neg__(self) -> "RationalExpectation":
+        return RationalExpectation(-self.num, self.den)
+
+    def __sub__(self, other) -> "RationalExpectation":
+        return self + (-_coerce(other))
+
+    def __mul__(self, other) -> "RationalExpectation":
+        if isinstance(other, RationalExpectation):
+            return RationalExpectation(self.num * other.num, self.den + other.den)
+        return RationalExpectation(self.num * other, self.den)
+
+    def normalized(self) -> "RationalExpectation":
+        """Every RationalExpectation is built in normal form."""
+        return self
 
     def clear_falling(self, a: int) -> Poly:
         """Return (n)_a * self as a polynomial; raises if the product is not
         polynomial (which would falsify the moment theorems)."""
-        cleared = RationalExpectation(
-            self.num * falling_factorial_poly(a), self.den
-        ).normalized()
+        cleared = RationalExpectation(self.num * falling_factorial_poly(a), self.den)
         if cleared.den:
             raise InternalConsistencyError(
                 f"(n)_{a} * expectation is not polynomial; residual "
@@ -112,9 +96,7 @@ class RationalExpectation:
     def evaluate_at(self, lam) -> Fraction:
         lam = tuple(lam)
         n = sum(lam)
-        den_val = Fraction(1)
-        for a in self.den:
-            den_val *= falling_factorial_value(n, a)
+        den_val = prod(perm(n, a) for a in self.den)
         if den_val == 0:
             raise DegenerateEvaluationError(
                 f"denominator {self.den} vanishes at n={n}; the statistic "
@@ -125,9 +107,8 @@ class RationalExpectation:
     # -- rendering ----------------------------------------------------
 
     def __str__(self) -> str:
-        norm = self.normalized()
-        p, d = integerize(norm.num)
-        parts = [f"(n)_{a}" for a in norm.den]
+        p, d = integerize(self.num)
+        parts = [f"(n)_{a}" for a in self.den]
         if d != 1:
             parts.append(str(d))
         body = to_text(p)
@@ -139,11 +120,10 @@ class RationalExpectation:
         return f"{body} / {den_text}"
 
     def to_json_dict(self) -> dict:
-        norm = self.normalized()
         return {
-            "numerator": to_json_dict(norm.num),
-            "denominator": {"falling": list(norm.den)},
-            "text": str(norm),
+            "numerator": to_json_dict(self.num),
+            "denominator": {"falling": list(self.den)},
+            "text": str(self),
         }
 
 

@@ -28,13 +28,14 @@ import os
 import threading
 from collections import Counter
 from fractions import Fraction
+from math import perm
 
 from .contraction import contract
 from .errors import InternalConsistencyError, MalformedInputError, ResourceLimitError
 from .expectation import evaluation_point
 from .oracle import COUNT_CAP, injection_count
 from .partial import CyclePathType, PartialPermutation
-from .poly import N, Poly, falling_factorial_value, from_json_dict, mvar, to_json_dict
+from .poly import N, Poly, from_json_dict, mvar, to_json_dict
 from .setpartitions import bell_number, mobius_lower, set_partitions
 
 # most path vertices |nu| + l(nu) of one type: the Moebius loop visits
@@ -245,7 +246,7 @@ def indicator_expectation(p: PartialPermutation, lam) -> Fraction:
         )
     t = p.cycle_path_type()
     f = indicator_moment(t)
-    return f.evaluate(evaluation_point(lam)) / falling_factorial_value(n, t.support_size)
+    return f.evaluate(evaluation_point(lam)) / perm(n, t.support_size)
 
 
 def _type_from_key(key: str) -> CyclePathType:

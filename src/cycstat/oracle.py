@@ -9,6 +9,7 @@ symbolic machinery.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as iter_permutations
@@ -58,14 +59,10 @@ def cycle_type(w: tuple[int, ...]) -> tuple[int, ...]:
 
 def class_size(lam) -> int:
     """n! / prod_i i^{m_i} m_i!"""
-    n = sum(lam)
     denom = 1
-    counts: dict[int, int] = {}
-    for part in lam:
-        counts[part] = counts.get(part, 0) + 1
-    for i, mi in counts.items():
+    for i, mi in Counter(lam).items():
         denom *= i**mi * factorial(mi)
-    return factorial(n) // denom
+    return factorial(sum(lam)) // denom
 
 
 def _check_cap(n: int, cap: int) -> None:

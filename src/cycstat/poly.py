@@ -270,13 +270,6 @@ def falling_factorial_poly(a: int) -> Poly:
     return out
 
 
-def falling_factorial_value(n, a: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(a):
-        out *= n - i
-    return out
-
-
 def divide_exact_in_n(num: Poly, div: Poly) -> Poly | None:
     """Exact division by a polynomial in variable 0 only; None if it leaves a
     remainder."""
@@ -377,17 +370,14 @@ def to_json_dict(p: Poly, universe=ENGINE_VARS) -> dict:
     return {"terms": terms}
 
 
-def from_json_dict(data: dict, universe=ENGINE_VARS) -> Poly:
+def from_json_dict(data: dict) -> Poly:
+    """The engine polynomial (variables n, m1, m2, ...) of to_json_dict."""
     terms: dict[Exponents, Fraction] = {}
     for item in data["terms"]:
         coef = Fraction(item["coef"])
         exps: dict[int, int] = {}
         for name, e in item["exps"].items():
-            if universe == ENGINE_VARS:
-                idx = 0 if name == "n" else int(name[1:])
-            else:
-                idx = int(name[1:]) - 1
-            exps[idx] = int(e)
+            exps[0 if name == "n" else int(name[1:])] = int(e)
         width = max(exps, default=-1) + 1
         key = tuple(exps.get(i, 0) for i in range(width))
         terms[key] = terms.get(key, Fraction(0)) + coef

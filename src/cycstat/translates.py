@@ -28,13 +28,14 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import perm
 from types import MappingProxyType
 
 from .errors import InternalConsistencyError, MalformedInputError, ResourceLimitError
 from .expectation import RationalExpectation, ZERO_EXPECTATION, evaluation_point
 from .indicator import indicator_moment
 from .partial import CyclePathType, PartialPermutation, covering_injections, placements, push_adjacencies
-from .poly import ZERO, Poly, falling_factorial_value, to_text, WEIGHT_VARS
+from .poly import ZERO, Poly, to_text, WEIGHT_VARS
 from .sums import constrained_sum
 
 # Most placements (pairs from covering_injections, over all pairs of
@@ -339,15 +340,15 @@ def class_value(sums: Mapping[CyclePathType, Poly], lam) -> Fraction:
         m = t.support_size
         if m <= n:
             f = indicator_moment(t)
-            total += S.evaluate(point) * f.evaluate(point) / falling_factorial_value(n, m)
+            total += S.evaluate(point) * f.evaluate(point) / perm(n, m)
     return total
 
 
 def _over_falling(nums: dict[int, Poly]) -> RationalExpectation:
-    """sum over a of nums[a] / (n)_a, each normalised once."""
+    """sum over a of nums[a] / (n)_a."""
     out = ZERO_EXPECTATION
     for a in sorted(nums):
-        out = out + RationalExpectation(nums[a], (a,)).normalized()
+        out = out + RationalExpectation(nums[a], (a,))
     return out
 
 

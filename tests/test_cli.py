@@ -14,6 +14,7 @@ import pytest
 from cycstat import indicator, sums, translates
 from cycstat.cli import _build_parser, main
 from cycstat.dsl import parse_statistic
+from cycstat.expectation import RationalExpectation
 from cycstat.oracle import descent_count
 from cycstat.partial import placements
 from cycstat.poly import to_json_dict
@@ -24,6 +25,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_process(*argv, timeout):
+    """The CLI in a fresh interpreter, with this checkout's src on the path."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    )}
+    return subprocess.run(
+        [sys.executable, "-m", "cycstat.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
 
 
 def test_readme_cli_block_matches_parser():
@@ -233,6 +246,22 @@ class TestPowersBuiltOnce:
         assert verify["placements"] == [1, square, square, 161]
 
 
+class TestCertificates:
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_moment_certifies_once(self, capsys, monkeypatch, json_flag):
+        calls = []
+        clear_falling = RationalExpectation.clear_falling
+
+        def counting(self, a):
+            calls.append(a)
+            return clear_falling(self, a)
+
+        monkeypatch.setattr(RationalExpectation, "clear_falling", counting)
+        code, _, _ = run(capsys, "moment", "des", "-d", "2", *json_flag)
+        assert code == 0
+        assert calls == [2]
+
+
 class TestExpand:
     def test_major_index(self, capsys):
         code, out, _ = run(capsys, "expand", "maj")
@@ -313,16 +342,22 @@ class TestExitCodes:
         assert out == ""
         assert f"above the cap {sums.MAX_SUM_DEGREE}" in err
 
+    @pytest.mark.parametrize("expr", [
+        "biv(1;A={};B={};f=" + "(" * 250 + "x1" + ")" * 250 + ";g=1)",
+        "2*" * 1000 + "exc",
+    ], ids=["nested-weight", "long-product"])
+    def test_deep_nesting_is_a_resource_limit(self, expr):
+        # the parser descends one Python frame or more per level
+        done = run_process("moment", expr, timeout=30)
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert "nested too deeply" in done.stderr
+
     def test_power_of_many_variables_expands_in_seconds(self):
         # 5,456 terms, by repeated multiplication rather than squaring
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])
-        )}
-        done = subprocess.run(
-            [sys.executable, "-m", "cycstat.cli", "expand",
-             "T(U=(1,2,3,4);V=(2,3,4,5);C={};f=(x1+x2+x3+x4)^30)"],
-            env=env, capture_output=True, text=True, timeout=10,
+        done = run_process(
+            "expand", "T(U=(1,2,3,4);V=(2,3,4,5);C={};f=(x1+x2+x3+x4)^30)", timeout=10
         )
         assert done.returncode == 0
         weight = done.stdout.splitlines()[1]

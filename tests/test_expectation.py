@@ -6,14 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cycstat.errors import DegenerateEvaluationError, InternalConsistencyError
-from cycstat.expectation import RationalExpectation, cycle_counts, evaluation_point
-from cycstat.poly import N, ONE, mvar
+from cycstat.expectation import RationalExpectation, evaluation_point
+from cycstat.poly import N, ONE, falling_factorial_poly, mvar
 
 
 class TestEvaluationPoint:
-    def test_counts(self):
-        assert cycle_counts((3, 2, 2, 1)) == {3: 1, 2: 2, 1: 1}
-
     def test_point(self):
         assert evaluation_point((2, 1)) == [3, 1, 1, 0]
 
@@ -51,12 +48,16 @@ class TestArithmetic:
 
 class TestNormalization:
     def test_exact_factor_removed(self):
-        from cycstat.poly import falling_factorial_poly
-
         e = RationalExpectation(falling_factorial_poly(2) * mvar(1), (2, 1))
         norm = e.normalized()
         assert norm.num == mvar(1)
         assert norm.den == (1,)
+
+    def test_normal_when_built(self):
+        e = RationalExpectation(falling_factorial_poly(2) * mvar(1), (2, 1))
+        assert e.num == mvar(1)
+        assert e.den == (1,)
+        assert e.normalized() is e
 
     def test_clear_falling(self):
         e = RationalExpectation(N - mvar(1), (1,))
