@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import indicator
@@ -84,11 +85,19 @@ def _parse_lambda(text: str) -> tuple[int, ...]:
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+    """Print the result; a reader that has closed stdout gets nothing more,
+    and stdout then points at os.devnull so the exit flush is quiet too."""
+    try:
+        if args.json:
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _base_payload(args, stat) -> dict:

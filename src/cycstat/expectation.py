@@ -9,7 +9,6 @@ form: no (n)_a of the denominator divides the numerator exactly.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import perm, prod
 
@@ -23,6 +22,7 @@ from .poly import (
     to_json_dict,
     to_text,
 )
+from .value import Value
 
 
 def evaluation_point(lam) -> list[int]:
@@ -32,16 +32,13 @@ def evaluation_point(lam) -> list[int]:
     return [n] + [counts.get(i, 0) for i in range(1, n + 1)]
 
 
-@dataclass(frozen=True)
-class RationalExpectation:
-    num: Poly
-    den: tuple[int, ...] = ()
+class RationalExpectation(Value):
+    _fields = ("num", "den")
 
-    def __post_init__(self):
+    def __init__(self, num: Poly, den: tuple[int, ...] = ()):
         """Keep the normal form: divide out every falling-factorial factor
         that divides the numerator exactly, largest first, greedily."""
-        num = self.num
-        remaining = [] if num.is_zero else sorted((int(a) for a in self.den if a), reverse=True)
+        remaining = [] if num.is_zero else sorted((int(a) for a in den if a), reverse=True)
         changed = True
         while changed:
             changed = False
@@ -52,8 +49,7 @@ class RationalExpectation:
                     del remaining[i]
                     changed = True
                     break
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", tuple(remaining))
+        self.__dict__.update(num=num, den=tuple(remaining))
 
     # -- arithmetic ---------------------------------------------------
 

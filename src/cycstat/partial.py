@@ -9,23 +9,21 @@ invariant under simultaneous relabeling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .errors import MalformedInputError
+from .value import Value
 
 
-@dataclass(frozen=True)
-class PartialPermutation:
+class PartialPermutation(Value):
     """Aligned tuples (positions, values); canonical form has positions increasing."""
 
-    positions: tuple[int, ...]
-    values: tuple[int, ...]
+    _fields = ("positions", "values")
 
-    def __post_init__(self):
-        pos = tuple(int(v) for v in self.positions)
-        val = tuple(int(v) for v in self.values)
+    def __init__(self, positions: tuple[int, ...], values: tuple[int, ...]):
+        pos = tuple(int(v) for v in positions)
+        val = tuple(int(v) for v in values)
         if len(pos) != len(val):
             raise MalformedInputError("positions and values must have equal length")
         if len(set(pos)) != len(pos):
@@ -36,8 +34,9 @@ class PartialPermutation:
             raise MalformedInputError("entries must be positive integers")
         # simultaneous reordering so positions increase is the identity on the object
         order = sorted(range(len(pos)), key=lambda t: pos[t])
-        object.__setattr__(self, "positions", tuple(pos[t] for t in order))
-        object.__setattr__(self, "values", tuple(val[t] for t in order))
+        self.__dict__.update(
+            positions=tuple(pos[t] for t in order), values=tuple(val[t] for t in order)
+        )
 
     @property
     def size(self) -> int:
@@ -71,16 +70,16 @@ class PartialPermutation:
         return f"({','.join(map(str, self.positions))})({','.join(map(str, self.values))})"
 
 
-@dataclass(frozen=True)
-class CyclePathType:
+class CyclePathType(Value):
     """Pair of partitions: cycle lengths mu, path edge-lengths nu."""
 
-    cycles: tuple[int, ...]
-    paths: tuple[int, ...]
+    _fields = ("cycles", "paths")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cycles", tuple(sorted((int(c) for c in self.cycles), reverse=True)))
-        object.__setattr__(self, "paths", tuple(sorted((int(p) for p in self.paths), reverse=True)))
+    def __init__(self, cycles: tuple[int, ...], paths: tuple[int, ...]):
+        self.__dict__.update(
+            cycles=tuple(sorted((int(c) for c in cycles), reverse=True)),
+            paths=tuple(sorted((int(p) for p in paths), reverse=True)),
+        )
         if any(c < 1 for c in self.cycles) or any(p < 1 for p in self.paths):
             raise MalformedInputError("cycle and path lengths must be >= 1")
 

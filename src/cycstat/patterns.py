@@ -11,27 +11,21 @@ induces, which turns the count into a sum of constrained translates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import MalformedInputError
 from .partial import PartialPermutation, covering_injections, push_adjacencies
 from .poly import ONE, Poly, xvar
 from .translates import ConstrainedTranslate, RegularStatistic
+from .value import Value
 
 
-@dataclass(frozen=True)
-class BivincularPattern:
-    sigma: tuple[int, ...]
-    A: frozenset[int]
-    B: frozenset[int]
-    f: Poly
-    g: Poly
+class BivincularPattern(Value):
+    _fields = ("sigma", "A", "B", "f", "g")
 
-    def __post_init__(self):
-        sigma = tuple(int(s) for s in self.sigma)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "A", frozenset(int(a) for a in self.A))
-        object.__setattr__(self, "B", frozenset(int(b) for b in self.B))
+    def __init__(self, sigma: tuple[int, ...], A: frozenset[int], B: frozenset[int],
+                 f: Poly, g: Poly):
+        sigma = tuple(int(s) for s in sigma)
+        self.__dict__.update(sigma=sigma, A=frozenset(int(a) for a in A),
+                             B=frozenset(int(b) for b in B), f=f, g=g)
         k = len(sigma)
         if sorted(sigma) != list(range(1, k + 1)):
             raise MalformedInputError(f"{sigma} is not a permutation of [{k}]")

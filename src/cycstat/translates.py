@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import perm
@@ -37,6 +36,7 @@ from .indicator import indicator_moment
 from .partial import CyclePathType, PartialPermutation, covering_injections, placements, push_adjacencies
 from .poly import ZERO, Poly, to_text, WEIGHT_VARS
 from .sums import constrained_sum
+from .value import Value
 
 # Most placements (pairs from covering_injections, over all pairs of
 # translates) one product may try.  A placement costs about 15-25 us, built
@@ -50,22 +50,21 @@ MAX_PLACEMENTS = 300_000
 MAX_EXPONENT = 100
 
 
-@dataclass(frozen=True)
-class ConstrainedTranslate:
+class ConstrainedTranslate(Value):
     """Packed triple ((U,V), C, f).
 
     size k = number of position/value pairs, shift q = |C|,
     power p = k + deg f - q.
     """
 
-    packed: PartialPermutation
-    constraints: frozenset[int]
-    weight: Poly
+    _fields = ("packed", "constraints", "weight")
 
-    def __post_init__(self):
+    def __init__(self, packed: PartialPermutation, constraints: frozenset[int], weight: Poly):
         """The pattern is packed on its support [m], the constraints lie in
         [m - 1], and the weight is nonzero and uses only x1..xm."""
-        object.__setattr__(self, "constraints", frozenset(int(c) for c in self.constraints))
+        self.__dict__.update(
+            packed=packed, constraints=frozenset(int(c) for c in constraints), weight=weight
+        )
         if not self.packed.is_packed:
             raise MalformedInputError(f"translate pattern {self.packed} is not packed")
         m = len(self.packed.support)
@@ -170,15 +169,14 @@ class ConstrainedTranslate:
         return f"T(U=({u});V=({v});C={{{c}}};f={f})"
 
 
-@dataclass(frozen=True)
-class RegularStatistic:
+class RegularStatistic(Value):
     """Canonical linear combination of translates; coefficients are folded
     into the weight polynomials and duplicates by (packed, C) are merged."""
 
-    translates: tuple[ConstrainedTranslate, ...]
+    _fields = ("translates",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "translates", _canonical((t.key, t.weight) for t in self.translates))
+    def __init__(self, translates: tuple[ConstrainedTranslate, ...]):
+        self.__dict__.update(translates=_canonical((t.key, t.weight) for t in translates))
 
     @classmethod
     def constant(cls, c) -> "RegularStatistic":

@@ -27,16 +27,41 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_process(*argv, timeout):
-    """The CLI in a fresh interpreter, with this checkout's src on the path."""
-    src = Path(__file__).resolve().parents[1] / "src"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_process(*argv, timeout, stdout=subprocess.PIPE):
+    """The CLI in a fresh interpreter, with this checkout's src on the path;
+    stderr is captured, and stdout too unless given."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
     )}
     return subprocess.run(
         [sys.executable, "-m", "cycstat.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=timeout,
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout,
     )
+
+
+def closed_pipe() -> int:
+    """The write end of a pipe whose read end is already closed."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # every command is a fresh interpreter, so each module cycstat.cli pulls
+    # in is paid on every run; -S keeps site-packages' .pth hooks out
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import cycstat.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SRC)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_readme_cli_block_matches_parser():
@@ -417,6 +442,33 @@ class TestExitCodes:
     def test_bad_moment_order(self, capsys):
         code, _, _ = run(capsys, "moment", "exc", "-d", "0")
         assert code == 2
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the output, not the command:
+    no traceback, and the command's own exit code."""
+
+    @pytest.mark.parametrize("argv", [
+        ("moment", "exc", "-d", "2"),
+        ("moment", "exc", "-d", "2", "--json"),
+        ("verify", "exc", "--nmax", "3"),
+    ], ids=["moment", "moment-json", "verify"])
+    def test_exit_code_kept(self, argv):
+        write = closed_pipe()
+        try:
+            done = run_process(*argv, timeout=60, stdout=write)
+        finally:
+            os.close(write)
+        assert done.returncode == 0
+        assert "Traceback" not in done.stderr
+        assert done.stderr == ""
+
+    def test_failing_verify_still_exits_1(self, monkeypatch):
+        # as TestVerify.test_failing_cell: the oracle evaluates des, not exc
+        monkeypatch.setattr(RegularStatistic, "evaluate", lambda self, pi: descent_count(pi))
+        with open(closed_pipe(), "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["verify", "exc", "--nmax", "3", "-d", "1"]) == 1
 
 
 class TestDiskCache:
