@@ -144,7 +144,7 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
+            return self.terms == ({(): other} if other else {})
         if not isinstance(other, Poly):
             return NotImplemented
         return self.terms == other.terms

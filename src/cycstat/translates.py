@@ -7,18 +7,21 @@ statistics are linear combinations of translates; they are closed under
 products.
 
 Every product goes through one routine, _product: it places every pair of
-a translate of the left factor and one of the right, and _canonical adds
-the placements' weights per translate key, which is also how a statistic
-merges its own translates.  Psi * Psi' keeps the result as a statistic.
+a translate of the left factor and one of the right and adds the
+placements' weights per translate key; constant weights multiply as an int
+(a Fraction when one is not an integer), and only polynomial weights as
+Polys.  Psi * Psi' keeps the result as a statistic through _canonical,
+which is also how a statistic merges its own translates.
 
 A statistic builds each power Psi^d once and keeps it.  Every moment reads
 type_sums(d): the constrained sums S(n) of the translates of Psi^d added up
 per cycle-path type (mu, nu).  A translate's class expectation is
 S * f_{(mu,nu)} / (n)_m, and f and the support size m depend on the type
 alone; its uniform expectation is S / (n)_k for k pairs.  type_sums(d)
-groups the translates of _product(Psi^(d-1), Psi) by (type, C) and keeps
-only the sums, never Psi^d; since S is linear in the weight, one
-constrained sum per (type, C) gives the same sums as one per translate.
+groups the keys of _product(Psi^(d-1), Psi), or Psi's own translates for
+d = 1, by (type, C), with no translate built, and keeps only the sums,
+never Psi^d; since S is linear in the weight, one constrained sum per
+(type, C) gives the same sums as one per translate.
 """
 
 from __future__ import annotations
@@ -33,15 +36,17 @@ from types import MappingProxyType
 from .errors import InternalConsistencyError, MalformedInputError, ResourceLimitError
 from .expectation import RationalExpectation, ZERO_EXPECTATION, evaluation_point
 from .indicator import indicator_moment
-from .partial import CyclePathType, PartialPermutation, covering_injections, placements, push_adjacencies
+from .partial import (CyclePathType, PartialPermutation, component_type, covering_injections,
+                      placements, push_adjacencies)
 from .poly import ZERO, Poly, to_text, WEIGHT_VARS
 from .sums import constrained_sum
 from .value import Value
 
 # Most placements (pairs from covering_injections, over all pairs of
-# translates) one product may try.  A placement costs about 15-25 us, built
-# or streamed (exc^4 * exc and cyc2^4 * cyc2 on a 2-vCPU host, Python 3.11),
-# so the cap is about 5-8 s.  cyc2^5 * cyc2 tries 225,481 and exc^5 * exc
+# translates) one product may try.  A placement costs about 5-10 us, built
+# or streamed, the most where weights are polynomials (exc^4 * exc,
+# cyc2^5 * cyc2, N(12)^2 and maj^2 on a 2-vCPU host, Python 3.11), so the
+# cap is about 1.5-3 s.  cyc2^5 * cyc2 tries 225,481 and exc^5 * exc
 # 545,731.
 MAX_PLACEMENTS = 300_000
 
@@ -94,6 +99,15 @@ class ConstrainedTranslate(Value):
     @property
     def key(self):
         return (self.packed.positions, self.packed.values, tuple(sorted(self.constraints)))
+
+    @cached_property
+    def _constant(self) -> int | Fraction | None:
+        """The weight as an int, or a Fraction when it is not an integer, if
+        it is a constant; None when it is a polynomial."""
+        if self.weight.num_vars:
+            return None
+        c = self.weight.constant_value()
+        return c.numerator if c.denominator == 1 else c
 
     @cached_property
     def _steps(self) -> tuple[tuple[bool, int | None, int | None, bool], ...]:
@@ -223,7 +237,10 @@ class RegularStatistic(Value):
 
     def __mul__(self, other):
         if isinstance(other, RegularStatistic):
-            return RegularStatistic(_product(self, other))
+            # the placements are put in canonical form once, not again by __init__
+            out = RegularStatistic.__new__(RegularStatistic)
+            out.__dict__.update(translates=_canonical(_product(self, other).items()))
+            return out
         return self.__rmul__(other)
 
     def __pow__(self, d: int) -> "RegularStatistic":
@@ -239,16 +256,20 @@ class RegularStatistic(Value):
 
     def type_sums(self, d: int) -> Mapping[CyclePathType, Poly]:
         """Psi^d grouped by cycle-path type: the sum of the constrained sums
-        S(n) of its translates of each type, grouped from
-        _product(Psi^(d-1), Psi) once and kept, while Psi^d is not;
-        setdefault makes concurrent callers agree on one object."""
+        S(n) of its translates of each type, grouped in key order from
+        Psi's own translates for d = 1 and from _product(Psi^(d-1), Psi)
+        after, once and kept, while Psi^d is not; setdefault makes
+        concurrent callers agree on one object."""
         _check_exponent(d)
         memo = self.__dict__.setdefault("_type_sums", {})
         known = memo.get(d)
         if known is not None:
             return known
-        left = self ** (d - 1) if d > 1 else RegularStatistic.constant(1)
-        return memo.setdefault(d, MappingProxyType(_grouped_sums(_product(left, self))))
+        if d == 1:
+            pairs = [(t.key, t.weight) for t in self.translates]
+        else:
+            pairs = sorted(_product(self ** (d - 1), self).items())
+        return memo.setdefault(d, MappingProxyType(_grouped_sums(pairs)))
 
     # -- evaluation ---------------------------------------------------
 
@@ -356,83 +377,108 @@ def translate_product(t1: ConstrainedTranslate, t2: ConstrainedTranslate) -> Reg
     return RegularStatistic((t1,)) * RegularStatistic((t2,))
 
 
-def _product(left: RegularStatistic, right: RegularStatistic) -> tuple[ConstrainedTranslate, ...]:
-    """The translates of left * right in canonical form.  Every pair of
-    constrained subsets (L1, L2) has a union of some size r; fixing the
-    order-preserving injections of the two supports into [r] splits the
-    product of two translates into translates on [r]."""
+def _product(left: RegularStatistic, right: RegularStatistic) -> dict[tuple, int | Fraction | Poly]:
+    """The placements of left * right, their weights added per key
+    (positions, values, C); a key whose weight cancels is kept, with weight
+    0.  Every pair of constrained subsets (L1, L2) has a union of some size
+    r; fixing the order-preserving injections of the two supports into [r]
+    splits the product of two translates into translates on [r]."""
     _check_placements(left, right)
-
-    def placed():
-        for t1 in left.translates:
-            for t2 in right.translates:
-                for a, b in covering_injections(t1.support_size, t2.support_size):
-                    out = _place(t1, t2, a, b)
-                    if out is not None:
-                        edges, C, w = out
-                        positions = tuple(sorted(edges))
-                        yield (positions, tuple(edges[u] for u in positions), tuple(sorted(C))), w
-
-    return _canonical(placed())
+    # covering_injections(m, l), listed once per pair of support sizes
+    injections = {(m, l): tuple(covering_injections(m, l))
+                  for m in {t.support_size for t in left.translates}
+                  for l in {t.support_size for t in right.translates}}
+    by_key: dict[tuple, int | Fraction | Poly] = {}
+    for t1 in left.translates:
+        for t2 in right.translates:
+            for a, b in injections[t1.support_size, t2.support_size]:
+                out = _place(t1, t2, a, b)
+                if out is not None:
+                    edges, C, w = out
+                    positions = tuple(sorted(edges))
+                    key = (positions, tuple(map(edges.__getitem__, positions)), tuple(sorted(C)))
+                    known = by_key.get(key)
+                    by_key[key] = w if known is None else known + w
+    return by_key
 
 
 def _canonical(pairs) -> tuple[ConstrainedTranslate, ...]:
     """The translates of (key, weight) pairs, key = (positions, values, C):
     the weights added per key, the keys whose weight cancels dropped, and
     the rest checked as translates, in key order."""
-    by_key: dict[tuple, Poly] = {}
+    by_key: dict[tuple, int | Fraction | Poly] = {}
     for key, w in pairs:
         known = by_key.get(key)
         by_key[key] = w if known is None else known + w
     return tuple(
-        ConstrainedTranslate(PartialPermutation(positions, values), frozenset(C), w)
+        ConstrainedTranslate(PartialPermutation(positions, values), frozenset(C), _as_poly(w))
         for (positions, values, C), w in sorted(by_key.items())  # the keys are distinct
-        if not w.is_zero
+        if w != 0
     )
 
 
 def _place(t1, t2, a, b):
     """t1 * t2 on the union [r] of the supports placed by a and b: (edges,
     C, weight), or None when the placement breaks an adjacency or merges
-    two edges inconsistently."""
+    two edges inconsistently.  The weight is an int, or a Fraction, when
+    both weights are constants, and a Poly otherwise."""
     C1 = push_adjacencies(t1.constraints, a)
     C2 = push_adjacencies(t2.constraints, b)
     if C1 is None or C2 is None:
         return None
 
-    edges: dict[int, int] = {}
-    for u, v in zip(t1.packed.positions, t1.packed.values):
-        edges[a[u - 1]] = a[v - 1]
+    edges = {a[u - 1]: a[v - 1] for u, v in zip(t1.packed.positions, t1.packed.values)}
     for u, v in zip(t2.packed.positions, t2.packed.values):
         uu, vv = b[u - 1], b[v - 1]
         if edges.get(uu, vv) != vv:
             return None  # one position, two values
         edges[uu] = vv
-    vals = list(edges.values())
+    vals = edges.values()
     if len(set(vals)) != len(vals):
         return None  # one value, two positions
 
-    weight = t1.weight.relabel([x - 1 for x in a]) * t2.weight.relabel([x - 1 for x in b])
-    return edges, C1 | C2, weight
+    w1, w2 = t1._constant, t2._constant
+    if w1 is None:
+        w1 = t1.weight.relabel([x - 1 for x in a])
+    if w2 is None:
+        w2 = t2.weight.relabel([x - 1 for x in b])
+    return edges, C1 | C2, w1 * w2
 
 
-def _grouped_sums(translates) -> dict[CyclePathType, Poly]:
-    """The constrained sums S(n) of the translates, added up per cycle-path
-    type.  S is linear in the weight, so the weights are first added per
-    (type, C) and each such weight takes one constrained sum.  The types
-    come in the order of their first translate, and a type keeps its key
-    even when its sum cancels."""
-    by_type: dict[tuple[CyclePathType, frozenset[int]], Poly] = {}
-    for t in translates:
-        group = (t.packed.cycle_path_type(), t.constraints)
+def _grouped_sums(pairs) -> dict[CyclePathType, Poly]:
+    """The constrained sums S(n) of (key, weight) pairs in key order, added
+    up per cycle-path type read from the key's edges; a key whose weight
+    does not cancel passes the checks a translate makes.  S is linear in the
+    weight, so the weights are first added per (type, C) and each such
+    weight takes one constrained sum.  The types come in the order of their
+    first key, and a type keeps its key even when its sum cancels."""
+    by_type: dict[tuple[CyclePathType, tuple[int, ...]], int | Fraction | Poly] = {}
+    for (positions, values, C), w in pairs:
+        if w == 0:
+            continue
+        support = set(positions) | set(values)
+        m = len(support)
+        if support != set(range(1, m + 1)):
+            raise MalformedInputError(
+                f"translate pattern {PartialPermutation(positions, values)} is not packed"
+            )
+        if C and (C[0] < 1 or C[-1] >= m):
+            raise MalformedInputError(f"constraints {list(C)} not inside [{m - 1}]")
+        if isinstance(w, Poly) and w.num_vars > m:
+            raise MalformedInputError(f"weight uses x{w.num_vars} but the support is [{m}]")
+        group = component_type(dict(zip(positions, values)), support), C
         known = by_type.get(group)
-        by_type[group] = t.weight if known is None else known + t.weight
+        by_type[group] = w if known is None else known + w
 
     sums: dict[CyclePathType, Poly] = {}
     for (t, C), w in by_type.items():
-        S, _ = constrained_sum(w, t.support_size, C)
+        S, _ = constrained_sum(_as_poly(w), t.support_size, frozenset(C))
         sums[t] = sums.get(t, ZERO) + S
     return sums
+
+
+def _as_poly(w) -> Poly:
+    return w if isinstance(w, Poly) else Poly.const(w)
 
 
 def _check_placements(left: RegularStatistic, right: RegularStatistic) -> None:

@@ -266,9 +266,9 @@ class TestPowersBuiltOnce:
         assert moment == {"built": 1, "placements": [square, 161]}
         verify = count_work(monkeypatch, capsys, "verify", "exc", "--nmax", "3", "-d", "3")
         assert verify["built"] == moment["built"]
-        # type_sums(1), (2) and (3), each streamed once for all classes, and
-        # the product that builds exc^2
-        assert verify["placements"] == [1, square, square, 161]
+        # type_sums(2) and (3), each streamed once for all classes, and the
+        # product that builds exc^2; type_sums(1) groups exc's own translates
+        assert verify["placements"] == [square, square, 161]
 
 
 class TestCertificates:

@@ -229,6 +229,28 @@ class TestProduct:
             for w in permutations(range(1, 5)):
                 assert prod.evaluate(w) == t1.evaluate(w) * t2.evaluate(w), (t1, t2)
 
+    def test_constant_weights_multiply_as_numbers(self):
+        # exc and fix side by side on [3]: 1 -> 2 and 3 -> 3
+        two, three = (
+            ConstrainedTranslate(t.packed, t.constraints, Poly.const(c))
+            for t, c in ((EXC_T, 2), (FIX_T, 3))
+        )
+        half = ConstrainedTranslate(FIX_T.packed, FIX_T.constraints, Poly.const(Fraction(1, 2)))
+        weighted = ConstrainedTranslate(FIX_T.packed, FIX_T.constraints, xvar(1))
+        edges, C, w = translates._place(two, three, (1, 2), (3,))
+        assert (edges, C, w) == ({1: 2, 3: 3}, set(), 6) and type(w) is int
+        _, _, w = translates._place(three, half, (1,), (2,))
+        assert w == Fraction(3, 2) and type(w) is Fraction
+        _, _, w = translates._place(two, weighted, (1, 2), (3,))
+        assert w == 2 * xvar(3) and type(w) is Poly
+        # a statistic built from such products holds Poly weights
+        prod = RegularStatistic((two, half)) * RegularStatistic((three, weighted))
+        assert prod.translates and all(type(t.weight) is Poly for t in prod.translates)
+        for pi in permutations(range(1, 5)):
+            assert prod.evaluate(pi) == (
+                (two.evaluate(pi) + half.evaluate(pi)) * (three.evaluate(pi) + weighted.evaluate(pi))
+            )
+
     def test_subadditivity(self):
         pool = _small_translates()
         for t1 in pool:
@@ -325,8 +347,9 @@ class TestPowers:
                 sums[next(iter(sums))] = ONE
         s.moment(2)
         s.moment_at((3, 1), 2)
-        # one stream each of 1 * maj and maj * maj; no power is built
-        assert products == [RegularStatistic.constant(1), s]
+        # maj's own translates are grouped, and maj * maj is streamed once;
+        # no power is built
+        assert products == [s]
 
     def test_product_over_the_placement_cap(self, monkeypatch):
         # exc^2 * exc tries 161 placements
@@ -393,15 +416,21 @@ def _grouped(power):
     return out
 
 
+# the weights of a product are ints where both factors' weights are
+# integer constants, Fractions where one is not an integer (2*exc + 1/2*fix),
+# and Polys where one is a polynomial; maj - inv and exc + biv(...) mix
+# constant and polynomial weights, and the constant weights of exc - des
+# cancel in a type's sum
 STREAMED = [("exc", d) for d in (1, 2, 3, 4)] + [
     (expr, d)
     for expr in (
         "des", "maj", "inv", "N(12)", "N(21;A={1})", "exc - des", "maj - inv",
         "N(12) - N(21)", "2*exc + 1/2*fix", "3", "0",
         "biv(1;A={};B={};f=x1^6;g=1)", "biv(21;A={1};B={};f=x1^2;g=x2^2)",
+        "exc + biv(21;A={1};B={};f=x1^2;g=x2^2)",
     )
     for d in (1, 2)
-] + [("cyc2 - fix", 3)]
+] + [("cyc2 - fix", 3), ("2*exc + 1/2*fix", 3)]
 # the cases with a type whose sum cancels to zero
 CANCELLING = {
     ("exc - des", 2), ("maj - inv", 1), ("maj - inv", 2), ("N(12) - N(21)", 1), ("N(12) - N(21)", 2),
@@ -433,6 +462,28 @@ class TestTypeSums:
         monkeypatch.setattr(translates, "_place", shifted)
         for build in (lambda: exc() ** 2, lambda: exc().type_sums(2)):
             with pytest.raises(MalformedInputError, match="is not packed"):
+                build()
+
+    @pytest.mark.parametrize("corrupt, message", [
+        # a constraint on the last point of [r], which has no successor
+        (lambda edges, C, w, r: (edges, C | {r}, w), "not inside"),
+        # a weight in a variable past [r]
+        (lambda edges, C, w, r: (edges, C, w * xvar(r + 1)), "but the support is"),
+    ], ids=["constraint", "weight"])
+    def test_bad_key_raises_as_when_built(self, monkeypatch, corrupt, message):
+        # the keys of a streamed product pass the checks a translate makes
+        place = translates._place
+
+        def corrupted(*args):
+            placed = place(*args)
+            if placed is None:
+                return None
+            edges, C, w = placed
+            return corrupt(edges, C, w, len(set(edges) | set(edges.values())))
+
+        monkeypatch.setattr(translates, "_place", corrupted)
+        for build in (lambda: exc() ** 2, lambda: exc().type_sums(2)):
+            with pytest.raises(MalformedInputError, match=message):
                 build()
 
     def test_bad_order(self):
