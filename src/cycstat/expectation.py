@@ -25,11 +25,12 @@ from .poly import (
 from .value import Value
 
 
-def evaluation_point(lam) -> list[int]:
-    """Engine-variable values (n, m_1, m_2, ...) for a partition lambda."""
+def evaluation_point(lam, k=None) -> list[int]:
+    """Engine-variable values (n, m_1, ..., m_k) for a partition lambda; k
+    defaults to n, past which every m_i is 0."""
     n = sum(lam)
     counts = Counter(lam)
-    return [n] + [counts.get(i, 0) for i in range(1, n + 1)]
+    return [n] + [counts.get(i, 0) for i in range(1, (n if k is None else k) + 1)]
 
 
 class RationalExpectation(Value):
@@ -98,7 +99,7 @@ class RationalExpectation(Value):
                 f"denominator {self.den} vanishes at n={n}; the statistic "
                 "needs a larger ground set"
             )
-        return self.num.evaluate(evaluation_point(lam)) / den_val
+        return self.num.evaluate(evaluation_point(lam, self.num.num_vars - 1)) / den_val
 
     # -- rendering ----------------------------------------------------
 

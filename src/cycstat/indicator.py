@@ -246,7 +246,7 @@ def indicator_expectation(p: PartialPermutation, lam) -> Fraction:
         )
     t = p.cycle_path_type()
     f = indicator_moment(t)
-    return f.evaluate(evaluation_point(lam)) / perm(n, t.support_size)
+    return f.evaluate(evaluation_point(lam, t.size)) / perm(n, t.support_size)
 
 
 def _type_from_key(key: str) -> CyclePathType:

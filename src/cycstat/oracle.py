@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as iter_permutations
-from math import factorial
+from math import factorial, prod
 
 from .errors import InternalConsistencyError, ResourceLimitError
 from .partial import PartialPermutation
@@ -115,23 +115,27 @@ def representative(lam) -> tuple[int, ...]:
 # -- compatible functions and injections -------------------------------
 
 
-def _component_images(kind, verts, pi):
-    """All ways to map one component into the permutation pi's ground set,
-    following pi along the edges; yields tuples aligned with verts."""
-    n = len(pi)
+def _component_images(kind, size, pi):
+    """All ways to map one component of size vertices into the permutation
+    pi's ground set, following pi along the edges, as tuples in the
+    component's vertex order; a cycle's image must close up."""
     out = []
-    for x in range(1, n + 1):
+    for x in range(1, len(pi) + 1):
         image = [x]
-        ok = True
-        for _ in range(len(verts) - 1):
+        for _ in range(size - 1):
             image.append(pi[image[-1] - 1])
-        if len(set(image)) != len(image):
-            continue
-        if kind == "cycle" and pi[image[-1] - 1] != image[0]:
-            ok = False
-        if ok:
+        if len(set(image)) == size and (kind == "path" or pi[image[-1] - 1] == x):
             out.append(tuple(image))
     return out
+
+
+def _images(p: PartialPermutation, pi) -> list[list[tuple[int, ...]]]:
+    """_component_images of each component of p, whose kind and vertex count
+    are read from p's cycle-path type: a c-cycle has c vertices and a path of
+    l edges l + 1."""
+    t = p.cycle_path_type()
+    return ([_component_images("cycle", c, pi) for c in t.cycles]
+            + [_component_images("path", l + 1, pi) for l in t.paths])
 
 
 def compatible_function_count(p: PartialPermutation, lam) -> int:
@@ -139,10 +143,7 @@ def compatible_function_count(p: PartialPermutation, lam) -> int:
     on every edge and psi injective on each component separately."""
     _check_cap(sum(lam), COUNT_CAP)
     pi = representative(tuple(sorted((int(x) for x in lam), reverse=True)))
-    total = 1
-    for kind, verts in p.components():
-        total *= len(_component_images(kind, verts, pi))
-    return total
+    return prod(len(images) for images in _images(p, pi))
 
 
 def injection_count(p: PartialPermutation, lam, pi=None) -> int:
@@ -151,8 +152,7 @@ def injection_count(p: PartialPermutation, lam, pi=None) -> int:
     _check_cap(sum(lam), COUNT_CAP)
     if pi is None:
         pi = representative(tuple(sorted((int(x) for x in lam), reverse=True)))
-    comps = p.components()
-    options = [_component_images(kind, verts, pi) for kind, verts in comps]
+    options = _images(p, pi)
 
     # the ways to place components idx.. depend on the points used so far,
     # not on how they were used, so each (idx, used) is counted once

@@ -54,17 +54,8 @@ class PartialPermutation(Value):
     def edges(self) -> dict[int, int]:
         return dict(zip(self.positions, self.values))
 
-    def components(self) -> list[tuple[str, list[int]]]:
-        """Decompose the functional digraph into ('cycle'|'path', vertex list).
-
-        For a cycle the list holds the vertices in cyclic order (no repeat);
-        for a path it runs from source to sink, so the edge count is
-        len(list) - 1.
-        """
-        return graph_components(self.edges(), set(self.support))
-
     def cycle_path_type(self) -> "CyclePathType":
-        return component_type(self.edges(), set(self.support))
+        return component_type(self.edges(), self.support)
 
     def __str__(self) -> str:
         return f"({','.join(map(str, self.positions))})({','.join(map(str, self.values))})"
@@ -119,45 +110,30 @@ class CyclePathType(Value):
         return PartialPermutation(tuple(pos), tuple(val))
 
 
-def graph_components(edges: dict[int, int], vertices: set[int]) -> list[tuple[str, list[int]]]:
-    """Split a functional digraph with in/out degree <= 1 into cycles and paths."""
-    preds = {v: u for u, v in edges.items()}
-    seen: set[int] = set()
-    out: list[tuple[str, list[int]]] = []
-    # paths start at vertices with no incoming edge
-    for v in sorted(vertices):
-        if v in seen or v in preds:
-            continue
-        walk = [v]
-        seen.add(v)
-        while walk[-1] in edges:
-            walk.append(edges[walk[-1]])
-            seen.add(walk[-1])
-        out.append(("path", walk))
-    # anything left lies on a cycle
-    for v in sorted(vertices):
-        if v in seen:
-            continue
-        walk = [v]
-        seen.add(v)
-        w = edges[v]
-        while w != v:
-            walk.append(w)
-            seen.add(w)
-            w = edges[w]
-        out.append(("cycle", walk))
-    return out
-
-
-def component_type(edges: dict[int, int], vertices: set[int]) -> CyclePathType:
+def component_type(edges: dict[int, int], vertices) -> CyclePathType:
     """Cycle-path type of a functional digraph with in/out degree <= 1:
-    cycle lengths and path edge-lengths of its components."""
+    each path is walked from its source, the one vertex with no incoming
+    edge, and each cycle from a vertex no path reached."""
+    heads = set(edges.values())
+    seen = set()
     mu, nu = [], []
-    for kind, verts in graph_components(edges, vertices):
-        if kind == "cycle":
-            mu.append(len(verts))
-        else:
-            nu.append(len(verts) - 1)
+    for v in vertices:
+        if v not in heads:
+            seen.add(v)
+            length = 0
+            while v in edges:
+                v = edges[v]
+                seen.add(v)
+                length += 1
+            nu.append(length)
+    for v in edges:
+        if v not in seen:
+            length, w = 1, edges[v]
+            while w != v:
+                seen.add(w)
+                w = edges[w]
+                length += 1
+            mu.append(length)
     return CyclePathType(tuple(mu), tuple(nu))
 
 

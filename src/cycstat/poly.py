@@ -156,14 +156,7 @@ class Poly:
 
     def evaluate(self, values) -> Fraction:
         """Evaluate at values[i] for variable i (missing trailing values are 0)."""
-        total = Fraction(0)
-        for exps, coef in self.terms.items():
-            term = coef
-            for i, e in enumerate(exps):
-                if e:
-                    term *= (values[i] if i < len(values) else 0) ** e
-            total += term
-        return total
+        return self.sum_over((values,))
 
     def sum_over(self, points) -> Fraction:
         """The sum of evaluate(x) over the points x.  Each monomial is summed
@@ -371,13 +364,24 @@ def to_json_dict(p: Poly, universe=ENGINE_VARS) -> dict:
 
 
 def from_json_dict(data: dict) -> Poly:
-    """The engine polynomial (variables n, m1, m2, ...) of to_json_dict."""
+    """The engine polynomial (variables n, m1, m2, ...) of to_json_dict.  A
+    coefficient that is not a rational number (a zero denominator, an
+    infinity), an exponent that is not a nonnegative int, or a name other
+    than n, m1, m2, ... raises ValueError."""
     terms: dict[Exponents, Fraction] = {}
     for item in data["terms"]:
-        coef = Fraction(item["coef"])
+        try:
+            coef = Fraction(item["coef"])
+        except (ZeroDivisionError, OverflowError):
+            raise ValueError(f"coefficient {item['coef']!r} is not a rational number") from None
         exps: dict[int, int] = {}
         for name, e in item["exps"].items():
-            exps[0 if name == "n" else int(name[1:])] = int(e)
+            i = int(name[1:]) if name[:1] == "m" and name[1:].isdecimal() else 0
+            if name != _var_name(i, ENGINE_VARS):
+                raise ValueError(f"variable {name!r} is not n, m1, m2, ...")
+            if type(e) is not int or e < 0:
+                raise ValueError(f"exponent {e!r} of {name} is not a nonnegative int")
+            exps[i] = e
         width = max(exps, default=-1) + 1
         key = tuple(exps.get(i, 0) for i in range(width))
         terms[key] = terms.get(key, Fraction(0)) + coef

@@ -65,20 +65,13 @@ class ConstrainedTranslate(Value):
     _fields = ("packed", "constraints", "weight")
 
     def __init__(self, packed: PartialPermutation, constraints: frozenset[int], weight: Poly):
-        """The pattern is packed on its support [m], the constraints lie in
-        [m - 1], and the weight is nonzero and uses only x1..xm."""
+        """The key and weight pass _check_key, and the weight is nonzero."""
         self.__dict__.update(
             packed=packed, constraints=frozenset(int(c) for c in constraints), weight=weight
         )
-        if not self.packed.is_packed:
-            raise MalformedInputError(f"translate pattern {self.packed} is not packed")
-        m = len(self.packed.support)
-        if not self.constraints <= set(range(1, m)):
-            raise MalformedInputError(f"constraints {sorted(self.constraints)} not inside [{m - 1}]")
-        if self.weight.is_zero:
+        _check_key(packed.positions, packed.values, self.constraints, weight)
+        if weight.is_zero:
             raise MalformedInputError("zero-weight translates are not constructed")
-        if self.weight.num_vars > m:
-            raise MalformedInputError(f"weight uses x{self.weight.num_vars} but the support is [{m}]")
 
     @property
     def size(self) -> int:
@@ -353,7 +346,7 @@ def class_value(sums: Mapping[CyclePathType, Poly], lam) -> Fraction:
     m > n contributes 0, since [n] has no m-subsets (the symbolic ratio is
     0/0 there), so its indicator polynomial is never computed."""
     n = sum(lam)
-    point = evaluation_point(lam)
+    point = evaluation_point(lam, max((t.size for t in sums), default=0))
     total = Fraction(0)
     for t, S in sums.items():
         m = t.support_size
@@ -456,16 +449,7 @@ def _grouped_sums(pairs) -> dict[CyclePathType, Poly]:
     for (positions, values, C), w in pairs:
         if w == 0:
             continue
-        support = set(positions) | set(values)
-        m = len(support)
-        if support != set(range(1, m + 1)):
-            raise MalformedInputError(
-                f"translate pattern {PartialPermutation(positions, values)} is not packed"
-            )
-        if C and (C[0] < 1 or C[-1] >= m):
-            raise MalformedInputError(f"constraints {list(C)} not inside [{m - 1}]")
-        if isinstance(w, Poly) and w.num_vars > m:
-            raise MalformedInputError(f"weight uses x{w.num_vars} but the support is [{m}]")
+        support = _check_key(positions, values, C, w)
         group = component_type(dict(zip(positions, values)), support), C
         known = by_type.get(group)
         by_type[group] = w if known is None else known + w
@@ -475,6 +459,21 @@ def _grouped_sums(pairs) -> dict[CyclePathType, Poly]:
         S, _ = constrained_sum(_as_poly(w), t.support_size, frozenset(C))
         sums[t] = sums.get(t, ZERO) + S
     return sums
+
+
+def _check_key(positions, values, C, w) -> set[int]:
+    """The support [m] of a translate's key, checked to be packed, with C
+    inside [m - 1] and a polynomial weight in x1..xm only."""
+    support = set(positions) | set(values)
+    m = len(support)
+    if support != set(range(1, m + 1)):
+        pattern = PartialPermutation(positions, values)
+        raise MalformedInputError(f"translate pattern {pattern} is not packed")
+    if C and (min(C) < 1 or max(C) >= m):
+        raise MalformedInputError(f"constraints {sorted(C)} not inside [{m - 1}]")
+    if isinstance(w, Poly) and w.num_vars > m:
+        raise MalformedInputError(f"weight uses x{w.num_vars} but the support is [{m}]")
+    return support
 
 
 def _as_poly(w) -> Poly:

@@ -30,15 +30,17 @@ def run(capsys, *argv):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_process(*argv, timeout, stdout=subprocess.PIPE):
+def run_process(*argv, timeout, stdout=subprocess.PIPE, preexec_fn=None):
     """The CLI in a fresh interpreter, with this checkout's src on the path;
-    stderr is captured, and stdout too unless given."""
+    stderr is captured, and stdout too unless given.  preexec_fn runs in the
+    child before it starts."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
     )}
     return subprocess.run(
         [sys.executable, "-m", "cycstat.cli", *argv],
         env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -116,6 +118,21 @@ class TestMoment:
         )
         assert code == 0
         assert "value at lambda=(2,1): 1" in out
+
+    def test_lambda_point_reads_only_the_variables_used(self):
+        # exc's mean reads n and m1 alone, so lambda = (10^9) needs no list
+        # of 10^9 + 1 counts; the address-space cap turns such a list into
+        # a MemoryError instead of exhausting the host
+        resource = pytest.importorskip("resource")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        done = run_process(
+            "moment", "exc", "--lambda", "1000000000", timeout=120, preexec_fn=cap
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert "value at lambda=(1000000000): 500000000" in done.stdout.splitlines()
 
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "moment", "exc", "-d", "1", "--json", "--lambda", "3")
@@ -324,6 +341,12 @@ class TestExitCodes:
         code, _, _ = run(capsys, "moment", "exc", "--lambda", "2,x")
         assert code == 2
 
+    def test_unpacked_pattern_checked_before_zero_weight(self, capsys):
+        # the pattern is checked before the weight
+        code, out, err = run(capsys, "expand", "T(U=(1);V=(3);C={};f=0)")
+        assert code == 2
+        assert out == "" and "translate pattern (1)(3) is not packed" in err
+
     def test_resource_limit(self, capsys):
         # seven 1-edge paths: 14 path vertices, above the Bell cap of 12
         code, _, err = run(
@@ -512,6 +535,22 @@ class TestDiskCache:
             # but has graded degree 2 for a type of one edge
             b'{"mu=[];nu=[1]": {"terms": [{"coef": "1", "exps": {"n": 1}},'
             b' {"coef": "-3", "exps": {"m1": 1}}, {"coef": "1", "exps": {"m1": 2}}]}}',
+            # malformed numbers: a zero denominator, an infinity, exponents
+            # that are not nonnegative ints, and m0 for n
+            b'{"mu=[];nu=[1]": {"terms": [{"coef": "1/0", "exps": {"n": 1}},'
+            b' {"coef": "-1", "exps": {"m1": 1}}]}}',
+            b'{"mu=[];nu=[1]": {"terms": [{"coef": 1e400, "exps": {"n": 1}},'
+            b' {"coef": "-1", "exps": {"m1": 1}}]}}',
+            # graded degree 1, and m1^-1 divides by zero at lambda = (2)
+            b'{"mu=[];nu=[1]": {"terms": [{"coef": "1", "exps": {"n": 1}},'
+            b' {"coef": "-1", "exps": {"m1": 1}}, {"coef": "1", "exps": {"n": 2, "m1": -1}}]}}',
+            # graded degree 1, and m3 is 0 at lambda = (2) and (1,1)
+            b'{"mu=[];nu=[1]": {"terms": [{"coef": "1", "exps": {"n": 1}},'
+            b' {"coef": "-1", "exps": {"m1": 1}}, {"coef": "1", "exps": {"m3": 1, "n": -2}}]}}',
+            b'{"mu=[];nu=[1]": {"terms": [{"coef": "1", "exps": {"n": true}},'
+            b' {"coef": "-1", "exps": {"m1": 1}}]}}',
+            b'{"mu=[];nu=[1]": {"terms": [{"coef": "1", "exps": {"m0": 1}},'
+            b' {"coef": "-1", "exps": {"m1": 1}}]}}',
         ],
     )
     def test_corrupt_cache_rejected_untouched(self, tmp_path, capsys, fresh_cache, content):

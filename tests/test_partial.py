@@ -1,6 +1,6 @@
 """Partial permutations, cycle-path types and covering injections."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +9,7 @@ from cycstat.errors import MalformedInputError
 from cycstat.partial import (
     CyclePathType,
     PartialPermutation,
+    component_type,
     covering_injections,
     placements,
 )
@@ -75,6 +76,54 @@ class TestCyclePathType:
             rep = t.representative()
             assert rep.is_packed
             assert rep.cycle_path_type() == t
+
+
+def _components_by_vertex_lists(edges, vertices):
+    """Reference walk: each component as ('cycle'|'path', vertex list), paths
+    from their sources first, then the cycles among the vertices left."""
+    preds = {v: u for u, v in edges.items()}
+    seen = set()
+    out = []
+    for v in sorted(vertices):
+        if v in seen or v in preds:
+            continue
+        walk = [v]
+        seen.add(v)
+        while walk[-1] in edges:
+            walk.append(edges[walk[-1]])
+            seen.add(walk[-1])
+        out.append(("path", walk))
+    for v in sorted(vertices):
+        if v in seen:
+            continue
+        walk = [v]
+        seen.add(v)
+        w = edges[v]
+        while w != v:
+            walk.append(w)
+            seen.add(w)
+            w = edges[w]
+        out.append(("cycle", walk))
+    return out
+
+
+def test_component_type_matches_reference_walk():
+    # every partial permutation with support in [5]: sum_k C(5,k)^2 k! = 1546
+    count = 0
+    for k in range(6):
+        for positions in combinations(range(1, 6), k):
+            for values in permutations(range(1, 6), k):
+                edges = dict(zip(positions, values))
+                vertices = set(positions) | set(values)
+                comps = _components_by_vertex_lists(edges, vertices)
+                expected = CyclePathType(
+                    tuple(len(vs) for kind, vs in comps if kind == "cycle"),
+                    tuple(len(vs) - 1 for kind, vs in comps if kind == "path"),
+                )
+                assert component_type(edges, vertices) == expected, edges
+                assert PartialPermutation(positions, values).cycle_path_type() == expected
+                count += 1
+    assert count == 1546
 
 
 @given(

@@ -105,6 +105,45 @@ def test_sum_over_is_the_sum_of_evaluations(p, points):
     assert p.sum_over(points) == sum((p.evaluate(x) for x in points), Fraction(0))
 
 
+def _evaluate_term_by_term(p, values):
+    """Each monomial as a Fraction, a variable past the point read as 0."""
+    total = Fraction(0)
+    for exps, coef in p.terms.items():
+        term = Fraction(coef)
+        for i, e in enumerate(exps):
+            term *= Fraction(values[i] if i < len(values) else 0) ** e
+        total += term
+    return total
+
+
+@given(
+    poly_strategy(max_vars=4),
+    st.lists(
+        st.integers(-4, 9) | st.fractions(min_value=-3, max_value=3, max_denominator=5),
+        max_size=4,
+    ),
+)
+def test_evaluate_matches_term_by_term(p, values):
+    # int and Fraction points of every length up to 4, some too short
+    assert p.evaluate(values) == _evaluate_term_by_term(p, values)
+    assert p.evaluate(tuple(values)) == _evaluate_term_by_term(p, values)
+
+
+class TestEvaluate:
+    def test_zero_polynomial(self):
+        assert ZERO.evaluate((3, 4)) == 0 and ZERO.evaluate(()) == 0
+        assert isinstance(ZERO.evaluate((3,)), Fraction)
+
+    def test_short_point_reads_zero(self):
+        p = Poly({(1,): 2, (0, 0, 1): 5, (): Fraction(1, 3)})
+        assert p.evaluate((4,)) == 8 + Fraction(1, 3)
+        assert p.evaluate(()) == Fraction(1, 3)
+
+    def test_fraction_point(self):
+        p = Poly({(2, 1): Fraction(3, 2), (): -1})
+        assert p.evaluate((Fraction(1, 2), Fraction(2, 3))) == Fraction(-3, 4)
+
+
 class TestSumOver:
     def test_empty_list(self):
         assert xvar(1).sum_over([]) == 0 and Poly.const(3).sum_over(iter(())) == 0
