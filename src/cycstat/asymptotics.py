@@ -12,8 +12,6 @@ V1(alpha) + beta*V2(alpha).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DivergenceError, InternalConsistencyError
 from .expectation import RationalExpectation
 from .poly import Poly
@@ -42,7 +40,7 @@ def limit_ratio(E: RationalExpectation, scale_power: int) -> Poly:
         ndeg = a0 + a1 + a2
         bucket = by_ndeg.setdefault(ndeg, {})
         key = (a1, a2)
-        bucket[key] = bucket.get(key, Fraction(0)) + coef
+        bucket[key] = bucket.get(key, 0) + coef
     top = -1
     for ndeg, bucket in by_ndeg.items():
         if any(bucket.values()) and ndeg > top:

@@ -38,19 +38,17 @@ class RationalExpectation(Value):
 
     def __init__(self, num: Poly, den: tuple[int, ...] = ()):
         """Keep the normal form: divide out every falling-factorial factor
-        that divides the numerator exactly, largest first, greedily."""
-        remaining = [] if num.is_zero else sorted((int(a) for a in den if a), reverse=True)
-        changed = True
-        while changed:
-            changed = False
-            for i, a in enumerate(remaining):
-                quo = divide_exact_in_n(num, falling_factorial_poly(a))
-                if quo is not None:
-                    num = quo
-                    del remaining[i]
-                    changed = True
-                    break
-        self.__dict__.update(num=num, den=tuple(remaining))
+        that divides the numerator exactly, largest first, in one pass.  A
+        factor that fails is never tried again: if (n)_b does not divide N,
+        it does not divide N / (n)_a either."""
+        kept = []
+        for a in [] if num.is_zero else sorted((int(a) for a in den if a), reverse=True):
+            quo = divide_exact_in_n(num, falling_factorial_poly(a))
+            if quo is None:
+                kept.append(a)
+            else:
+                num = quo
+        self.__dict__.update(num=num, den=tuple(kept))
 
     # -- arithmetic ---------------------------------------------------
 

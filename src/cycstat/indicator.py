@@ -52,11 +52,11 @@ def c_poly(t: CyclePathType) -> Poly:
     a factor n - sum_{i<=l} i*m_i."""
     out = Poly.const(1)
     for c in t.cycles:
-        out = out * (Fraction(c) * mvar(c))
+        out = out * (c * mvar(c))
     for length in t.paths:
         factor = N
         for i in range(1, length + 1):
-            factor = factor - Fraction(i) * mvar(i)
+            factor = factor - i * mvar(i)
         out = out * factor
     return out
 
@@ -70,7 +70,7 @@ def unrestricted_count_poly(t: CyclePathType) -> Poly:
         factor = Poly()
         for i in range(1, c + 1):
             if c % i == 0:
-                factor = factor + Fraction(i) * mvar(i)
+                factor = factor + i * mvar(i)
         out = out * factor
     for _ in t.paths:
         out = out * N
@@ -232,7 +232,7 @@ def mobius_count_poly(p: PartialPermutation) -> Poly:
         weights[contract(p, rho)] += mobius_lower(rho)
     poly = Poly()
     for t, weight in weights.items():
-        poly = poly + Fraction(weight) * unrestricted_count_poly(t)
+        poly = poly + weight * unrestricted_count_poly(t)
     return poly
 
 

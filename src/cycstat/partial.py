@@ -46,11 +46,6 @@ class PartialPermutation(Value):
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.positions) | set(self.values)))
 
-    @property
-    def is_packed(self) -> bool:
-        sup = self.support
-        return sup == tuple(range(1, len(sup) + 1))
-
     def edges(self) -> dict[int, int]:
         return dict(zip(self.positions, self.values))
 

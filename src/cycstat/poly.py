@@ -8,16 +8,18 @@ One representation serves three variable universes:
 * limit polynomials in alpha, beta.
 
 Exponent keys are tuples with trailing zeros stripped, so the variable
-universe can grow lazily without rewriting existing terms.  No floating
-point anywhere.
+universe can grow lazily without rewriting existing terms.  A coefficient
+is an int when it is an integer, a Fraction only when it is not.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, lcm
 
 Exponents = tuple[int, ...]
+Coefficient = int | Fraction  # an int whenever the value is an integer
 
 NEG_INF = -inf  # degree of the zero polynomial
 
@@ -31,18 +33,19 @@ def _strip(exps) -> Exponents:
 
 class Poly:
     """Immutable sparse polynomial; terms maps exponent tuples to nonzero
-    Fractions."""
+    coefficients, each an int when it is an integer (3 == Fraction(3) and
+    their hashes agree, so the rule changes no value, text or hash)."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, Coefficient] = {}
         if terms:
             for exps, coef in terms.items():
-                coef = Fraction(coef)
+                coef = coef if type(coef) is int else _lower(Fraction(coef))
                 if coef:
                     key = _strip(exps)
-                    val = clean.get(key, Fraction(0)) + coef
+                    val = _lower(clean.get(key, 0) + coef)
                     if val:
                         clean[key] = val
                     else:
@@ -53,13 +56,11 @@ class Poly:
 
     @classmethod
     def const(cls, c) -> "Poly":
-        return cls({(): Fraction(c)})
+        return cls({(): c})
 
     @classmethod
-    def variable(cls, index: int, power: int = 1) -> "Poly":
-        exps = [0] * (index + 1)
-        exps[index] = power
-        return cls({tuple(exps): Fraction(1)})
+    def variable(cls, index: int) -> "Poly":
+        return cls({(0,) * index + (1,): 1})
 
     # -- predicates and metrics ---------------------------------------
 
@@ -67,8 +68,8 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_value(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+    def constant_value(self) -> Coefficient:
+        return self.terms.get((), 0)
 
     @property
     def num_vars(self) -> int:
@@ -85,8 +86,8 @@ class Poly:
             return NEG_INF
         return max(_graded(e) for e in self.terms)
 
-    def coefficient(self, exps) -> Fraction:
-        return self.terms.get(_strip(exps), Fraction(0))
+    def coefficient(self, exps) -> Coefficient:
+        return self.terms.get(_strip(exps), 0)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -94,7 +95,7 @@ class Poly:
         other = _coerce(other)
         out = dict(self.terms)
         for exps, coef in other.terms.items():
-            val = out.get(exps, Fraction(0)) + coef
+            val = _lower(out.get(exps, 0) + coef)
             if val:
                 out[exps] = val
             else:
@@ -114,11 +115,11 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         other = _coerce(other)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = _mul_exps(e1, e2)
-                val = out.get(key, Fraction(0)) + c1 * c2
+                val = _lower(out.get(key, 0) + c1 * c2)
                 if val:
                     out[key] = val
                 else:
@@ -159,14 +160,13 @@ class Poly:
         return self.sum_over((values,))
 
     def sum_over(self, points) -> Fraction:
-        """The sum of evaluate(x) over the points x.  Each monomial is summed
-        in integers over the points and multiplied by its coefficient once,
-        in integers too when the coefficient is an integer; a Fraction is
-        built only for a fractional coefficient and once for the total.  A
-        point too short for a monomial gives it 0, as in evaluate."""
+        """The sum of evaluate(x) over the points x, as a Fraction.  Each
+        monomial is summed in integers over the points and multiplied by its
+        coefficient once, so an int coefficient keeps the total an int until
+        the one Fraction built at the end.  A point too short for a monomial
+        gives it 0, as in evaluate."""
         points = list(points)
         total = 0
-        fractional = 0
         for exps, coef in self.terms.items():
             # exps has no trailing zero, so a point shorter than exps misses
             # a variable of positive exponent
@@ -179,12 +179,8 @@ class Poly:
                     for i, e in factors:
                         term *= x[i] ** e
                     s += term
-            if s:
-                if coef.denominator == 1:
-                    total += coef.numerator * s
-                else:
-                    fractional += coef * s
-        return total + fractional if fractional else Fraction(total)
+            total += coef * s
+        return Fraction(total)
 
     def substitute(self, mapping: dict[int, "Poly"]) -> "Poly":
         """Replace variable i by mapping[i] (a Poly); unmapped variables stay."""
@@ -204,7 +200,7 @@ class Poly:
     def relabel(self, index) -> "Poly":
         """Rename variable i to variable index[i]; index is injective, so the
         terms keep their coefficients and never collide."""
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
         for exps, coef in self.terms.items():
             moved = {index[i]: e for i, e in enumerate(exps) if e}
             out[tuple(moved.get(j, 0) for j in range(max(moved, default=-1) + 1))] = coef
@@ -224,7 +220,13 @@ def _mul_exps(e1: Exponents, e2: Exponents) -> Exponents:
     return tuple(a + b for a, b in zip(e1, e2)) + e1[len(e2):]
 
 
-def _raw(terms: dict[Exponents, Fraction]) -> Poly:
+def _lower(c: Coefficient) -> Coefficient:
+    """The coefficient rule: an integer is an int, so a Fraction with
+    denominator 1 becomes its numerator (an int is its own numerator)."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _raw(terms: dict[Exponents, Coefficient]) -> Poly:
     p = Poly()
     object.__setattr__(p, "terms", terms)
     return p
@@ -266,7 +268,7 @@ def falling_factorial_poly(a: int) -> Poly:
 def divide_exact_in_n(num: Poly, div: Poly) -> Poly | None:
     """Exact division by a polynomial in variable 0 only; None if it leaves a
     remainder."""
-    dcoeffs: dict[int, Fraction] = {}
+    dcoeffs: dict[int, Coefficient] = {}
     for exps, coef in div.terms.items():
         if any(e for e in exps[1:]):
             raise ValueError("divisor must be univariate in n")
@@ -275,7 +277,7 @@ def divide_exact_in_n(num: Poly, div: Poly) -> Poly | None:
     lead = dcoeffs[ddeg]
 
     rem = dict(num.terms)
-    quo: dict[Exponents, Fraction] = {}
+    quo: dict[Exponents, Coefficient] = {}
     while rem:
         top = max(e[0] if e else 0 for e in rem)
         if top < ddeg:
@@ -283,13 +285,13 @@ def divide_exact_in_n(num: Poly, div: Poly) -> Poly | None:
         for exps in [e for e in rem if (e[0] if e else 0) == top]:
             coef = rem.pop(exps)
             qexp = _strip((top - ddeg,) + exps[1:])
-            qcoef = coef / lead
-            quo[qexp] = quo.get(qexp, Fraction(0)) + qcoef
+            qcoef = _lower(Fraction(coef, lead))
+            quo[qexp] = _lower(quo.get(qexp, 0) + qcoef)
             for d, dc in dcoeffs.items():
                 if d == ddeg:
                     continue
                 key = _strip((top - ddeg + d,) + exps[1:])
-                val = rem.get(key, Fraction(0)) - qcoef * dc
+                val = _lower(rem.get(key, 0) - qcoef * dc)
                 if val:
                     rem[key] = val
                 else:
@@ -365,15 +367,12 @@ def to_json_dict(p: Poly, universe=ENGINE_VARS) -> dict:
 
 def from_json_dict(data: dict) -> Poly:
     """The engine polynomial (variables n, m1, m2, ...) of to_json_dict.  A
-    coefficient that is not a rational number (a zero denominator, an
-    infinity), an exponent that is not a nonnegative int, or a name other
-    than n, m1, m2, ... raises ValueError."""
-    terms: dict[Exponents, Fraction] = {}
+    coefficient in another form than _read_coefficient's, an exponent that
+    is not a nonnegative int, or a name other than n, m1, m2, ... raises
+    ValueError."""
+    terms: dict[Exponents, Coefficient] = {}
     for item in data["terms"]:
-        try:
-            coef = Fraction(item["coef"])
-        except (ZeroDivisionError, OverflowError):
-            raise ValueError(f"coefficient {item['coef']!r} is not a rational number") from None
+        coef = _read_coefficient(item["coef"])
         exps: dict[int, int] = {}
         for name, e in item["exps"].items():
             i = int(name[1:]) if name[:1] == "m" and name[1:].isdecimal() else 0
@@ -384,8 +383,23 @@ def from_json_dict(data: dict) -> Poly:
             exps[i] = e
         width = max(exps, default=-1) + 1
         key = tuple(exps.get(i, 0) for i in range(width))
-        terms[key] = terms.get(key, Fraction(0)) + coef
+        terms[key] = terms.get(key, 0) + coef
     return Poly(terms)
+
+
+def _read_coefficient(c) -> Coefficient:
+    """A coefficient as to_json_dict writes it: a string p or p/q of ASCII
+    digits, p with an optional leading -, q > 0, or else a JSON int.  Any
+    other form raises ValueError before a number is built: Fraction would
+    expand a short exponent form such as "1e10000000" in full."""
+    if type(c) is int:
+        return c
+    if type(c) is str:
+        p, slash, q = c.partition("/")
+        q = q if slash else "1"
+        if all(s.isascii() and s.isdigit() for s in (p.removeprefix("-"), q)) and int(q):
+            return _lower(Fraction(int(p), int(q)))
+    raise ValueError(f"coefficient {c!r} is not p or p/q in decimal digits with q > 0")
 
 
 def integerize(p: Poly) -> tuple[Poly, int]:
@@ -393,16 +407,8 @@ def integerize(p: Poly) -> tuple[Poly, int]:
     positive integer; returns (P, d)."""
     if p.is_zero:
         return p, 1
-    q = 1
-    for coef in p.terms.values():
-        q = q * coef.denominator // gcd(q, coef.denominator)
-    scaled = {e: c * q for e, c in p.terms.items()}
-    g = 0
-    for c in scaled.values():
-        g = gcd(g, int(c))
-    g = gcd(g, q) if g else q
-    if g > 1:
-        scaled = {e: c / g for e, c in scaled.items()}
-        q //= g
-    return _raw({e: Fraction(c) for e, c in scaled.items()}), q
+    q = lcm(*(c.denominator for c in p.terms.values()))
+    scaled = {e: c.numerator * (q // c.denominator) for e, c in p.terms.items()}
+    g = gcd(q, *scaled.values())
+    return _raw({e: c // g for e, c in scaled.items()}), q // g
 

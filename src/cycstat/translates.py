@@ -95,12 +95,9 @@ class ConstrainedTranslate(Value):
 
     @cached_property
     def _constant(self) -> int | Fraction | None:
-        """The weight as an int, or a Fraction when it is not an integer, if
-        it is a constant; None when it is a polynomial."""
-        if self.weight.num_vars:
-            return None
-        c = self.weight.constant_value()
-        return c.numerator if c.denominator == 1 else c
+        """The weight if it is a constant, an int or a Fraction by the
+        coefficient rule of Poly; None when it is a polynomial."""
+        return None if self.weight.num_vars else self.weight.constant_value()
 
     @cached_property
     def _steps(self) -> tuple[tuple[bool, int | None, int | None, bool], ...]:

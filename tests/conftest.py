@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
+
+from hypothesis import settings
 
 from cycstat.partial import CyclePathType
 from cycstat.oracle import partitions
+
+# HYPOTHESIS_PROFILE=ci runs every property test five times harder than the
+# default; a test with its own @settings keeps them
+settings.register_profile("ci", max_examples=500, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def integer_partitions_at_most(total: int):

@@ -551,12 +551,18 @@ class TestDiskCache:
             b' {"coef": "-1", "exps": {"m1": 1}}]}}',
             b'{"mu=[];nu=[1]": {"terms": [{"coef": "1", "exps": {"m0": 1}},'
             b' {"coef": "-1", "exps": {"m1": 1}}]}}',
+            # an exponent form, which Fraction would expand to 10^100000000
+            # before any check ran
+            b'{"mu=[];nu=[1]": {"terms": [{"coef": "1e100000000", "exps": {"n": 1}},'
+            b' {"coef": "-1", "exps": {"m1": 1}}]}}',
         ],
     )
     def test_corrupt_cache_rejected_untouched(self, tmp_path, capsys, fresh_cache, content):
         path = tmp_path / "cache.json"
         path.write_bytes(content)
+        start = time.perf_counter()
         code, out, err = run(capsys, "moment", "exc", "--cache", str(path))
+        assert time.perf_counter() - start < 5
         assert code == 2
         assert out == "" and str(path) in err
         assert path.read_bytes() == content

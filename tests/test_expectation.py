@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from cycstat.errors import DegenerateEvaluationError, InternalConsistencyError
 from cycstat.expectation import RationalExpectation, evaluation_point
-from cycstat.poly import N, ONE, falling_factorial_poly, mvar
+from cycstat.poly import N, ONE, divide_exact_in_n, falling_factorial_poly, mvar
 
 
 class TestEvaluationPoint:
@@ -68,6 +68,42 @@ class TestNormalization:
         e = RationalExpectation(ONE, (2,))
         with pytest.raises(InternalConsistencyError):
             e.clear_falling(1)
+
+
+def _normal_form_by_restart(num, den):
+    """The normal form by the first scan: each (n)_a of den, largest first,
+    divided out when it divides, and the scan restarted after every
+    division."""
+    remaining = [] if num.is_zero else sorted((a for a in den if a), reverse=True)
+    changed = True
+    while changed:
+        changed = False
+        for i, a in enumerate(remaining):
+            quo = divide_exact_in_n(num, falling_factorial_poly(a))
+            if quo is not None:
+                num = quo
+                del remaining[i]
+                changed = True
+                break
+    return num, tuple(remaining)
+
+
+@given(
+    st.lists(st.integers(0, 4), max_size=3),
+    st.lists(st.integers(-1, 4), max_size=3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    st.lists(st.integers(0, 5), max_size=4),
+)
+def test_one_pass_normal_form_matches_the_restarting_scan(fallings, roots, c, den):
+    # (n)_a and n - r factors, so an (n)_b of den may divide only in part,
+    # and c = 0 gives the zero numerator
+    num = c * (N + mvar(1) + ONE)
+    for a in fallings:
+        num = num * falling_factorial_poly(a)
+    for r in roots:
+        num = num * (N - r)
+    e = RationalExpectation(num, tuple(den))
+    assert (e.num, e.den) == _normal_form_by_restart(num, den)
 
 
 class TestDegenerate:

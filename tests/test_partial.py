@@ -74,7 +74,7 @@ class TestCyclePathType:
             CyclePathType((4,), ()),
         ]:
             rep = t.representative()
-            assert rep.is_packed
+            assert rep.support == tuple(range(1, t.support_size + 1))
             assert rep.cycle_path_type() == t
 
 

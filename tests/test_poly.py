@@ -215,3 +215,45 @@ class TestRendering:
         intp, d = integerize(p)
         assert d == 6
         assert intp == 3 * N - 2 * mvar(1)
+
+
+class TestJsonCoefficients:
+    @pytest.mark.parametrize("coef, value", [
+        ("3", 3), ("-3", -3), ("6/4", Fraction(3, 2)), ("-1/3", Fraction(-1, 3)),
+        ("0012", 12), (7, 7), (-7, -7),
+    ])
+    def test_written_forms_read(self, coef, value):
+        p = from_json_dict({"terms": [{"coef": coef, "exps": {"n": 1}}]})
+        assert p == value * N
+
+    @pytest.mark.parametrize("coef", [
+        # Fraction reads these; the exponent forms it would expand in full
+        "1e5", "1E5", "1.5", ".5", "1_000", " 3", "3 ", "+3",
+        "1/0", "1/-2", "--1", "-", "", "/2", "1/", "\u0663", "inf", "nan",
+        2.0, 1e400, True, None, [1, 2],
+    ])
+    def test_other_forms_refused(self, coef):
+        with pytest.raises(ValueError):
+            from_json_dict({"terms": [{"coef": coef, "exps": {"n": 1}}]})
+
+
+def _keeps_the_rule(p: Poly) -> bool:
+    """Every coefficient is an int exactly when its denominator is 1, and a
+    Fraction otherwise."""
+    return all(type(c) is (int if c.denominator == 1 else Fraction) for c in p.terms.values())
+
+
+@given(poly_strategy(), poly_strategy())
+def test_integer_coefficients_are_ints(a, b):
+    # poly_strategy hands Poly Fractions, integral ones among them
+    f3 = falling_factorial_poly(3)
+    quotient = divide_exact_in_n(a * f3, f3)
+    assert quotient == a
+    for p in [a, a + b, a - b, a * b, a**2, quotient, integerize(a)[0],
+              from_json_dict(to_json_dict(a))]:
+        assert _keeps_the_rule(p)
+
+
+def test_int_and_fraction_coefficients_agree():
+    assert Poly({(): 2}) == Poly({(): Fraction(2)})
+    assert hash(Poly({(): 2})) == hash(Poly({(): Fraction(2)}))
