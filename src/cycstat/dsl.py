@@ -14,6 +14,7 @@ Errors carry the offending position and what was expected.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError, ResourceLimitError
@@ -23,41 +24,37 @@ from .poly import Poly
 from .sums import MAX_SUM_DEGREE
 from .translates import ConstrainedTranslate, RegularStatistic
 
-_SYMBOLS = "+-*/^(){},;="
+# one match per token: an ASCII digit run, an ASCII name, a symbol, whitespace
+# (as str.isspace has it) or, unnamed and refused, any other character
+_TOKEN = re.compile(r"(?P<INT>[0-9]+)|(?P<NAME>[A-Za-z][A-Za-z0-9]*)"
+                    r"|(?P<SYMBOL>[-+*/^(){},;=])|(?P<SPACE>\s+)|.")
+_WEIGHT_VARIABLE = re.compile(r"x0*([0-9]+)")
 
 
 class _Tokens:
+    """The tokens of text as (kind, text, position, value): a symbol is its
+    own kind, and value is the int of an INT token, read once here."""
+
     def __init__(self, text: str):
         self.text = text
-        self.items: list[tuple[str, str, int]] = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.items.append(("INT", text[i:j], i))
-                i = j
-            elif ch.isalpha():
-                j = i
-                while j < len(text) and (text[j].isalnum()):
-                    j += 1
-                self.items.append(("NAME", text[i:j], i))
-                i = j
-            elif ch in _SYMBOLS:
-                self.items.append((ch, ch, i))
-                i += 1
-            else:
-                raise ParseError(i, "a token", ch)
+        self.items: list[tuple[str, str, int, int | None]] = []
+        for match in _TOKEN.finditer(text):
+            kind, tok, pos = match.lastgroup, match.group(), match.start()
+            if kind is None:
+                raise ParseError(pos, "a token", tok)
+            try:
+                value = int(tok) if kind == "INT" else None
+            except ValueError:  # more digits than int converts
+                raise ResourceLimitError(f"integer literal at position {pos} has "
+                                         f"{len(tok)} digits, more than int converts") from None
+            if kind != "SPACE":
+                self.items.append((tok if kind == "SYMBOL" else kind, tok, pos, value))
         self.pos = 0
 
     def peek(self):
         if self.pos < len(self.items):
             return self.items[self.pos]
-        return ("EOF", "", len(self.text))
+        return ("EOF", "", len(self.text), None)
 
     def next(self):
         tok = self.peek()
@@ -108,7 +105,7 @@ def _parse_factor(toks: _Tokens) -> RegularStatistic:
     while toks.peek()[0] == "^":
         toks.next()
         tok = toks.expect("INT", "a positive integer exponent")
-        d = int(tok[1])
+        d = tok[3]
         if d < 1:
             raise ParseError(tok[2], "an exponent >= 1", tok[1])
         out = out**d
@@ -194,11 +191,11 @@ def _parse_rational(toks: _Tokens) -> Fraction:
         toks.next()
         sign = -1
     tok = toks.expect("INT", "a number")
-    num = int(tok[1])
+    num = tok[3]
     if toks.peek()[0] == "/":
         toks.next()
         den_tok = toks.expect("INT", "a denominator")
-        den = int(den_tok[1])
+        den = den_tok[3]
         if den == 0:
             raise ParseError(den_tok[2], "a nonzero denominator", "0")
         return Fraction(sign * num, den)
@@ -208,10 +205,10 @@ def _parse_rational(toks: _Tokens) -> Fraction:
 def _parse_intlist(toks: _Tokens, close: str) -> tuple[int, ...]:
     out = []
     if toks.peek()[0] == "INT":
-        out.append(int(toks.next()[1]))
+        out.append(toks.next()[3])
         while toks.peek()[0] == ",":
             toks.next()
-            out.append(int(toks.expect("INT", "an integer")[1]))
+            out.append(toks.expect("INT", "an integer")[3])
     toks.expect(close)
     return tuple(out)
 
@@ -251,7 +248,7 @@ def _parse_poly_factor(toks: _Tokens) -> Poly:
     if toks.peek()[0] == "^":
         toks.next()
         tok = toks.expect("INT", "a nonnegative exponent")
-        e = int(tok[1])
+        e = tok[3]
         # a weight with this factor has degree at least deg * e, unless it
         # cancels to zero, and its constrained sum one more, above the cap
         # of sums; a power of several terms takes minutes to expand, a
@@ -277,9 +274,15 @@ def _parse_poly_atom(toks: _Tokens) -> Poly:
         return -_parse_poly_factor(toks)
     if tok[0] == "INT":
         return Poly.const(_parse_rational(toks))
-    if tok[0] == "NAME" and tok[1][0] == "x" and tok[1][1:].isdigit():
+    match = _WEIGHT_VARIABLE.fullmatch(tok[1]) if tok[0] == "NAME" else None
+    if match:
         toks.next()
-        index = int(tok[1][1:])
+        digits, bound = match[1], len(toks.text)
+        # a support point or pattern letter takes a character of the text, so
+        # no index above len(text) names one; more digits than it has go unread
+        if len(digits) > len(str(bound)) or int(digits) > bound:
+            raise ParseError(tok[2], f"a variable index at most {bound}", tok[1])
+        index = int(digits)
         if index < 1:
             raise ParseError(tok[2], "a variable x1, x2, ...", tok[1])
         return Poly.variable(index - 1)

@@ -43,7 +43,7 @@ class RationalExpectation(Value):
         it does not divide N / (n)_a either."""
         kept = []
         for a in [] if num.is_zero else sorted((int(a) for a in den if a), reverse=True):
-            quo = divide_exact_in_n(num, falling_factorial_poly(a))
+            quo = divide_exact_in_n(num, range(a))
             if quo is None:
                 kept.append(a)
             else:

@@ -156,7 +156,7 @@ def _read_disk(path: str) -> dict[CyclePathType, Poly]:
             t = _type_from_key(key)
             if t.key != key:
                 raise ValueError(f"bad type key {key!r}")
-            entries[t] = _check_entry(t, from_json_dict(poly_data))
+            entries[t] = _check_entry(t, from_json_dict(poly_data, t.size))
         return entries
     except (ValueError, TypeError, KeyError, IndexError, AttributeError,
             MalformedInputError) as exc:

@@ -265,38 +265,29 @@ def falling_factorial_poly(a: int) -> Poly:
     return out
 
 
-def divide_exact_in_n(num: Poly, div: Poly) -> Poly | None:
-    """Exact division by a polynomial in variable 0 only; None if it leaves a
-    remainder."""
-    dcoeffs: dict[int, Coefficient] = {}
-    for exps, coef in div.terms.items():
-        if any(e for e in exps[1:]):
-            raise ValueError("divisor must be univariate in n")
-        dcoeffs[exps[0] if exps else 0] = coef
-    ddeg = max(dcoeffs)
-    lead = dcoeffs[ddeg]
-
-    rem = dict(num.terms)
-    quo: dict[Exponents, Coefficient] = {}
-    while rem:
-        top = max(e[0] if e else 0 for e in rem)
-        if top < ddeg:
-            return None
-        for exps in [e for e in rem if (e[0] if e else 0) == top]:
-            coef = rem.pop(exps)
-            qexp = _strip((top - ddeg,) + exps[1:])
-            qcoef = _lower(Fraction(coef, lead))
-            quo[qexp] = _lower(quo.get(qexp, 0) + qcoef)
-            for d, dc in dcoeffs.items():
-                if d == ddeg:
-                    continue
-                key = _strip((top - ddeg + d,) + exps[1:])
-                val = _lower(rem.get(key, 0) - qcoef * dc)
-                if val:
-                    rem[key] = val
-                else:
-                    rem.pop(key, None)
-    return _raw({e: c for e, c in quo.items() if c})
+def divide_exact_in_n(num: Poly, roots) -> Poly | None:
+    """num / prod_{r in roots} (n - r), or None if that leaves a remainder.
+    Dividing by n - r never mixes the monomials in the other variables, so
+    the coefficient list in n of each is divided on its own, by synthetic
+    division one root at a time."""
+    columns: dict[Exponents, list[Coefficient]] = {}
+    for exps, coef in num.terms.items():
+        col = columns.setdefault(exps[1:], [])
+        d = exps[0] if exps else 0
+        col += [0] * (d + 1 - len(col))
+        col[d] = coef
+    out: dict[Exponents, Coefficient] = {}
+    for rest, col in columns.items():
+        for r in roots:
+            # col[d] becomes the quotient's coefficient of n^(d-1), and col[0]
+            # the remainder
+            for d in range(len(col) - 2, -1, -1):
+                col[d] += r * col[d + 1]
+            if col[0]:
+                return None
+            del col[0]
+        out.update({(d,) + rest if d or rest else (): _lower(c) for d, c in enumerate(col) if c})
+    return _raw(out)
 
 
 # -- rendering ---------------------------------------------------------
@@ -365,11 +356,11 @@ def to_json_dict(p: Poly, universe=ENGINE_VARS) -> dict:
     return {"terms": terms}
 
 
-def from_json_dict(data: dict) -> Poly:
-    """The engine polynomial (variables n, m1, m2, ...) of to_json_dict.  A
-    coefficient in another form than _read_coefficient's, an exponent that
-    is not a nonnegative int, or a name other than n, m1, m2, ... raises
-    ValueError."""
+def from_json_dict(data: dict, max_m: int) -> Poly:
+    """The engine polynomial (variables n, m1, m2, ..., m<max_m>) of
+    to_json_dict.  A coefficient in another form than _read_coefficient's,
+    an exponent that is not a nonnegative int, or a name other than n, m1,
+    m2, ..., m<max_m> raises ValueError before an exponent tuple is built."""
     terms: dict[Exponents, Coefficient] = {}
     for item in data["terms"]:
         coef = _read_coefficient(item["coef"])
@@ -378,6 +369,8 @@ def from_json_dict(data: dict) -> Poly:
             i = int(name[1:]) if name[:1] == "m" and name[1:].isdecimal() else 0
             if name != _var_name(i, ENGINE_VARS):
                 raise ValueError(f"variable {name!r} is not n, m1, m2, ...")
+            if i > max_m:
+                raise ValueError(f"variable {name} is above m{max_m}")
             if type(e) is not int or e < 0:
                 raise ValueError(f"exponent {e!r} of {name} is not a nonnegative int")
             exps[i] = e

@@ -26,6 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import factorial
 
 from .errors import InternalConsistencyError, ResourceLimitError
 from .poly import N, ONE, ZERO, Poly, divide_exact_in_n
@@ -90,10 +91,11 @@ def constrained_sum(f: Poly, k: int, C: frozenset[int]) -> tuple[Poly, Poly]:
                 f"constrained sum disagrees with the direct sum at n={n}; "
                 f"k={k}, C={sorted(C)}"
             )
-    fbar = divide_exact_in_n(S, binomial_poly(q, k - q))
-    if fbar is None:
+    # binom(n-q, k-q) = (n-q)(n-q-1)...(n-k+1) / (k-q)!
+    quo = divide_exact_in_n(S, range(q, k))
+    if quo is None:
         raise InternalConsistencyError(
             "constrained sum is not divisible by binom(n-q, k-q); "
             f"k={k}, C={sorted(C)}"
         )
-    return S, fbar
+    return S, quo * factorial(k - q)

@@ -44,6 +44,14 @@ def run_process(*argv, timeout, stdout=subprocess.PIPE, preexec_fn=None):
     )
 
 
+def address_space_cap():
+    """A preexec_fn for run_process that caps the child's address space at
+    1 GiB, so a runaway allocation is a MemoryError instead of exhausting
+    the host."""
+    resource = pytest.importorskip("resource")
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 def closed_pipe() -> int:
     """The write end of a pipe whose read end is already closed."""
     read, write = os.pipe()
@@ -121,15 +129,10 @@ class TestMoment:
 
     def test_lambda_point_reads_only_the_variables_used(self):
         # exc's mean reads n and m1 alone, so lambda = (10^9) needs no list
-        # of 10^9 + 1 counts; the address-space cap turns such a list into
-        # a MemoryError instead of exhausting the host
-        resource = pytest.importorskip("resource")
-
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
+        # of 10^9 + 1 counts
         done = run_process(
-            "moment", "exc", "--lambda", "1000000000", timeout=120, preexec_fn=cap
+            "moment", "exc", "--lambda", "1000000000", timeout=120,
+            preexec_fn=address_space_cap(),
         )
         assert (done.returncode, done.stderr) == (0, "")
         assert "value at lambda=(1000000000): 500000000" in done.stdout.splitlines()
@@ -402,6 +405,31 @@ class TestExitCodes:
         assert "Traceback" not in done.stderr
         assert "nested too deeply" in done.stderr
 
+    @pytest.mark.parametrize("expr, code, message", [
+        ("exc^\u00b2", 2, "expected a token, found '\u00b2'"),
+        ("N(\u0661\u0662)", 2, "expected a token, found '\u0661'"),
+        ("1" * 5000 + "*exc", 3, "integer literal at position 0 has 5000 digits"),
+        ("exc^" + "1" * 5000, 3, "integer literal at position 4 has 5000 digits"),
+        ("T(U=(1);V=(2);C={};f=x10000000)", 2, "a variable index at most 31"),
+    ], ids=["superscript-exponent", "arabic-indic-digits", "long-literal",
+            "long-exponent", "weight-index"])
+    def test_malformed_input_fails_fast(self, expr, code, message):
+        start = time.perf_counter()
+        done = run_process("moment", expr, timeout=30)
+        assert time.perf_counter() - start < 5
+        assert (done.returncode, done.stdout) == (code, "")
+        assert "Traceback" not in done.stderr
+        assert message in done.stderr
+
+    def test_weight_index_past_the_text_builds_no_variable(self):
+        # x1000000000 would be a variable of a 10^9-entry exponent tuple
+        done = run_process(
+            "moment", "T(U=(1);V=(2);C={};f=x1000000000)", timeout=30,
+            preexec_fn=address_space_cap(),
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert "a variable index at most 33, found 'x1000000000'" in done.stderr
+
     def test_power_of_many_variables_expands_in_seconds(self):
         # 5,456 terms, by repeated multiplication rather than squaring
         done = run_process(
@@ -555,6 +583,9 @@ class TestDiskCache:
             # before any check ran
             b'{"mu=[];nu=[1]": {"terms": [{"coef": "1e100000000", "exps": {"n": 1}},'
             b' {"coef": "-1", "exps": {"m1": 1}}]}}',
+            # m10000000 is above the type's size 1, and refused before an
+            # exponent tuple of 10^7 entries is built
+            b'{"mu=[];nu=[1]": {"terms": [{"coef": "1", "exps": {"m10000000": 1}}]}}',
         ],
     )
     def test_corrupt_cache_rejected_untouched(self, tmp_path, capsys, fresh_cache, content):
@@ -565,6 +596,19 @@ class TestDiskCache:
         assert time.perf_counter() - start < 5
         assert code == 2
         assert out == "" and str(path) in err
+        assert path.read_bytes() == content
+
+    def test_variable_past_the_type_builds_no_exponents(self, tmp_path):
+        # even with exponent 0, m1000000000 would widen the key to 10^9 entries
+        path = tmp_path / "cache.json"
+        content = b'{"mu=[];nu=[1]": {"terms": [{"coef": "1", "exps": {"m1000000000": 0}}]}}'
+        path.write_bytes(content)
+        done = run_process(
+            "moment", "exc", "--cache", str(path), timeout=30, preexec_fn=address_space_cap()
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert f"cache file {path} is not a cycstat cache" in done.stderr
+        assert "variable m1000000000 is above m1" in done.stderr
         assert path.read_bytes() == content
 
     def test_wrong_entry_named(self, tmp_path, capsys, fresh_cache):

@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from cycstat.dsl import parse_statistic
-from cycstat.errors import ParseError
+from cycstat.errors import ParseError, ResourceLimitError
 from cycstat.oracle import descent_count, excedance_count, major_index
 from cycstat.patterns import des, exc, maj
 
@@ -102,6 +102,17 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_statistic("1/0")
 
+    @pytest.mark.parametrize("text, pos", [
+        ("1" * 5000 + "*exc", 0),
+        ("exc^" + "1" * 5000, 4),
+        ("biv(1;A={};B={};f=x1^" + "1" * 5000 + ";g=1)", 21),
+    ])
+    def test_literal_too_long_for_int(self, text, pos):
+        # 5000 digits is above the interpreter's default int-string limit
+        with pytest.raises(ResourceLimitError) as err:
+            parse_statistic(text)
+        assert f"integer literal at position {pos} has 5000 digits" in str(err.value)
+
     def test_error_reports_position_and_expectation(self):
         with pytest.raises(ParseError) as err:
             parse_statistic("T(U=(1);V=(2);C={};g=1)")
@@ -135,6 +146,16 @@ MALFORMED_FIELDS = [
     ("T(U=(1) V=(2);C={};f=1)", 8, "';'", "V"),
     ("T(U(1);V=(2);C={};f=1)", 3, "'='", "("),
     ("T(U=(1);V=(2);C={};f=)", 21, "a number, variable or '('", ")"),
+    # tokens are ASCII: a non-ASCII digit, letter or superscript is no token
+    ("exc^\u00b2", 4, "a token", "\u00b2"),
+    ("N(\u0661\u0662)", 2, "a token", "\u0661"),
+    ("\u00e9xc", 0, "a token", "\u00e9"),
+    ("biv(21;A={};B={};f=x\u0661;g=1)", 20, "a token", "\u0661"),
+    # a support point or pattern letter takes a character, so no weight
+    # variable is indexed beyond the length of the text
+    ("T(U=(1);V=(2);C={};f=x10000000)", 21, "a variable index at most 31", "x10000000"),
+    ("T(U=(1);V=(2);C={};f=x" + "9" * 5000 + ")", 21, "a variable index at most 5023",
+     "x" + "9" * 5000),
 ]
 
 

@@ -79,7 +79,7 @@ def _normal_form_by_restart(num, den):
     while changed:
         changed = False
         for i, a in enumerate(remaining):
-            quo = divide_exact_in_n(num, falling_factorial_poly(a))
+            quo = divide_exact_in_n(num, range(a))
             if quo is not None:
                 num = quo
                 del remaining[i]

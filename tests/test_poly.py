@@ -189,10 +189,20 @@ class TestFallingFactorials:
 
     def test_division(self):
         num = falling_factorial_poly(3) * (N - mvar(1))
-        assert divide_exact_in_n(num, falling_factorial_poly(3)) == N - mvar(1)
+        assert divide_exact_in_n(num, range(3)) == N - mvar(1)
 
     def test_division_with_remainder_is_none(self):
-        assert divide_exact_in_n(N + ONE, falling_factorial_poly(2)) is None
+        assert divide_exact_in_n(N + ONE, range(2)) is None
+
+
+@given(poly_strategy(), st.lists(st.integers(-3, 5), min_size=1, max_size=4))
+def test_division_by_linear_factors(p, roots):
+    # repeated roots too; p * prod + 1 is 1 at the first root, so not divisible
+    product = p
+    for r in roots:
+        product = product * (N - r)
+    assert divide_exact_in_n(product, roots) == p
+    assert divide_exact_in_n(product + ONE, roots) is None
 
 
 class TestRendering:
@@ -205,7 +215,9 @@ class TestRendering:
 
     def test_json_round_trip(self):
         p = N**2 * mvar(3) - Fraction(5, 7) * mvar(1)
-        assert from_json_dict(to_json_dict(p)) == p
+        assert from_json_dict(to_json_dict(p), 3) == p
+        with pytest.raises(ValueError, match="m3 is above m2"):
+            from_json_dict(to_json_dict(p), 2)
 
     def test_weight_universe(self):
         assert to_text(xvar(1) * xvar(2), "weight") == "x1*x2"
@@ -223,7 +235,7 @@ class TestJsonCoefficients:
         ("0012", 12), (7, 7), (-7, -7),
     ])
     def test_written_forms_read(self, coef, value):
-        p = from_json_dict({"terms": [{"coef": coef, "exps": {"n": 1}}]})
+        p = from_json_dict({"terms": [{"coef": coef, "exps": {"n": 1}}]}, 1)
         assert p == value * N
 
     @pytest.mark.parametrize("coef", [
@@ -234,7 +246,7 @@ class TestJsonCoefficients:
     ])
     def test_other_forms_refused(self, coef):
         with pytest.raises(ValueError):
-            from_json_dict({"terms": [{"coef": coef, "exps": {"n": 1}}]})
+            from_json_dict({"terms": [{"coef": coef, "exps": {"n": 1}}]}, 1)
 
 
 def _keeps_the_rule(p: Poly) -> bool:
@@ -247,10 +259,10 @@ def _keeps_the_rule(p: Poly) -> bool:
 def test_integer_coefficients_are_ints(a, b):
     # poly_strategy hands Poly Fractions, integral ones among them
     f3 = falling_factorial_poly(3)
-    quotient = divide_exact_in_n(a * f3, f3)
+    quotient = divide_exact_in_n(a * f3, range(3))
     assert quotient == a
     for p in [a, a + b, a - b, a * b, a**2, quotient, integerize(a)[0],
-              from_json_dict(to_json_dict(a))]:
+              from_json_dict(to_json_dict(a), 2)]:
         assert _keeps_the_rule(p)
 
 
