@@ -25,7 +25,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .oracle import N_CAP, class_moment, partitions
-from .poly import to_json_dict, to_text
+from .poly import decimal, to_json_dict, to_text
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -136,9 +136,9 @@ def _cmd_moment(args, stat) -> int:
             value = stat.variance_at(lam)
         else:
             value = stat.moment_at(lam, d)
-        lines.append(f"value at lambda=({','.join(map(str, lam))}): {value}")
+        lines.append(f"value at lambda=({','.join(map(str, lam))}): {decimal(value)}")
         payload["result"]["evaluations"] = [
-            {"lambda": list(lam), "value": str(value)}
+            {"lambda": list(lam), "value": decimal(value)}
         ]
     _emit(args, payload, lines)
     return EXIT_OK
@@ -196,7 +196,7 @@ def _cmd_verify(args, stat) -> int:
         tag = "PASS" if ok else "FAIL"
         line = f"{tag} lambda=({','.join(map(str, lam))}) d={d}"
         if not ok:
-            line += f" engine={engine} oracle={oracle}"
+            line += f" engine={decimal(engine)} oracle={decimal(oracle)}"
         lines.append(line)
     lines.append(f"{len(cells) - failures}/{len(cells)} cells passed")
     payload = _base_payload(args, stat)
@@ -206,8 +206,8 @@ def _cmd_verify(args, stat) -> int:
                 "lambda": list(lam),
                 "d": d,
                 "pass": ok,
-                "engine": str(engine),
-                "oracle": str(oracle),
+                "engine": decimal(engine),
+                "oracle": decimal(oracle),
             }
             for lam, d, ok, engine, oracle in cells
         ]

@@ -16,6 +16,7 @@ from .errors import DegenerateEvaluationError, InternalConsistencyError
 from .poly import (
     Poly,
     N,
+    decimal,
     divide_exact_in_n,
     falling_factorial_poly,
     integerize,
@@ -105,7 +106,7 @@ class RationalExpectation(Value):
         p, d = integerize(self.num)
         parts = [f"(n)_{a}" for a in self.den]
         if d != 1:
-            parts.append(str(d))
+            parts.append(decimal(d))
         body = to_text(p)
         if not parts:
             return body

@@ -126,8 +126,7 @@ class _MomentCache:
                 json.dump(payload, fh)
             os.replace(tmp, self._disk_path)
         except OSError:
-            pass
-        finally:
+            # the rename did not happen, so a temporary file may be left
             with contextlib.suppress(OSError):
                 os.remove(tmp)
 

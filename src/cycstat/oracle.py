@@ -1,10 +1,10 @@
 """Brute-force ground truth over small symmetric groups.
 
-Everything here works by direct enumeration: conjugacy classes are built by
-bucketing all of S_n by cycle type, statistics are evaluated from their
-definitions, and compatible functions/injections are counted by backtracking.
-The engine is certified against these counts; nothing here touches the
-symbolic machinery.
+Everything here works by direct enumeration: conjugacy classes hold all of
+S_n by cycle type, grown from the classes of S_{n-1}, statistics are
+evaluated from their definitions, and compatible functions/injections are
+counted by backtracking.  The engine is certified against these counts;
+nothing here touches the symbolic machinery.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations as iter_permutations
 from math import factorial, prod
 
 from .errors import InternalConsistencyError, ResourceLimitError
@@ -70,14 +69,37 @@ def _check_cap(n: int, cap: int) -> None:
         raise ResourceLimitError(f"oracle enumeration capped at n <= {cap}, got {n}")
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=N_CAP + 1)
 def class_table(n: int) -> dict[tuple[int, ...], list]:
-    """All of S_n bucketed by cycle type, with the class-size formula as a
-    self-check."""
+    """All of S_n bucketed by cycle type, grown from the table of S_{n-1}:
+    each w there gives w with n as a new fixed point, of type lam + (1,),
+    and for each i, w with n inserted after i in i's cycle (n -> w(i), i ->
+    n), whose type is lam with the length c of that cycle made c + 1.  Each
+    w's cycles are walked once for its n children.  The class-size formula
+    is a self-check at every n >= 1."""
     _check_cap(n, N_CAP)
+    if n == 0:
+        return {(): [()]}
     table: dict[tuple[int, ...], list] = {lam: [] for lam in partitions(n)}
-    for w in iter_permutations(range(1, n + 1)):
-        table[cycle_type(w)].append(w)
+    for lam, members in class_table(n - 1).items():
+        table[lam + (1,)] += [w + (n,) for w in members]
+        # lam with its first part c made c + 1 stays weakly decreasing
+        grown: dict[int, list] = {}
+        for j, c in enumerate(lam):
+            if c not in grown:
+                grown[c] = table[lam[:j] + (c + 1,) + lam[j + 1:]]
+        for w in members:
+            seen = [False] * n
+            for start in range(1, n):
+                if seen[start]:
+                    continue
+                cycle = []
+                x = start
+                while not seen[x]:
+                    seen[x] = True
+                    cycle.append(x)
+                    x = w[x - 1]
+                grown[len(cycle)] += [w[:i - 1] + (n,) + w[i:] + (w[i - 1],) for i in cycle]
     for lam, members in table.items():
         if len(members) != class_size(lam):
             raise InternalConsistencyError(

@@ -16,7 +16,9 @@ floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, inf, lcm, log10
+
+from .errors import ResourceLimitError
 
 Exponents = tuple[int, ...]
 Coefficient = int | Fraction  # an int whenever the value is an integer
@@ -322,6 +324,21 @@ def _monomial_text(exps: Exponents, universe) -> str:
     return "*".join(parts)
 
 
+def decimal(c: Coefficient) -> str:
+    """c as text, p or p/q, as str writes it.  Where an int has more digits
+    than the interpreter converts to text, a ResourceLimitError names the
+    count instead."""
+    try:
+        return str(c)
+    except ValueError:  # more digits than int converts
+        k = max(abs(c.numerator), c.denominator)
+        digits = max(1, int(k.bit_length() * log10(2)) - 1)  # at most the count
+        while k >= 10**digits:
+            digits += 1
+        raise ResourceLimitError(f"a number of {digits} digits is longer "
+                                 f"than int converts to text") from None
+
+
 def to_text(p: Poly, universe=ENGINE_VARS) -> str:
     """Canonical text form: monomials sorted by (graded) degree then by
     exponent vector, e.g. '1/12*n - 1/12*m1 - 1/6*m2'."""
@@ -335,9 +352,9 @@ def to_text(p: Poly, universe=ENGINE_VARS) -> str:
         if mono and mag == 1:
             body = mono
         elif mono:
-            body = f"{mag}*{mono}"
+            body = f"{decimal(mag)}*{mono}"
         else:
-            body = str(mag)
+            body = decimal(mag)
         if not chunks:
             chunks.append(body if coef > 0 else f"-{body}")
         else:
@@ -352,7 +369,7 @@ def to_json_dict(p: Poly, universe=ENGINE_VARS) -> dict:
         exp_map = {
             _var_name(i, universe): e for i, e in enumerate(exps) if e
         }
-        terms.append({"coef": str(coef), "exps": exp_map})
+        terms.append({"coef": decimal(coef), "exps": exp_map})
     return {"terms": terms}
 
 

@@ -117,52 +117,66 @@ class ConstrainedTranslate(Value):
             for i in range(1, self.support_size + 1)
         )
 
+    @cached_property
+    def _has_tail(self) -> bool:
+        """Whether a step places the tail of an edge to an earlier point."""
+        return any(tail_of is not None for _, _, tail_of, _ in self._steps)
+
     def evaluate(self, pi) -> int | Fraction:
         """The sum of f(L) over the C-constrained m-subsets L of [n] on which
         pi (one-line notation, pi[i-1] = pi(i)) maps L_u to L_v on every
         edge u -> v, straight from the definition.
 
         L_1 < ... < L_m are assigned in increasing order of support point,
-        following pi: a point forced adjacent to the one before it has the
+        following pi: a point forced adjacent to the one before it takes the
         one candidate L_{i-1} + 1, the head of an edge u -> i from an earlier
-        point has pi(L_u), and the tail of an edge i -> v to an earlier point
-        has pi^-1(L_v); only the other points range over [n].  Each point's
-        adjacency, its edges to earlier points and its fixed-point loop are
-        checked as soon as it is placed, and the weight is summed once over
-        the matches.  The sum is an int whenever it is an integer, as it is
-        for every weight with integer coefficients."""
+        point pi(L_u), and the tail of an edge i -> v to an earlier point
+        pi^-1(L_v), pi^-1 built only for such a tail; only the other points
+        range over [n].  Each point's adjacency, its edges to earlier points
+        and its fixed-point loop are checked as soon as it is placed.  A
+        constant weight counts the matches of the last point, building none,
+        and multiplies the count once; a polynomial weight is summed once
+        over the matches.  The sum is an int whenever it is an integer, as it
+        is for every weight with integer coefficients."""
         n = len(pi)
         steps = self._steps
         m = len(steps)
-        inverse = [0] * (n + 1)
-        for x, y in enumerate(pi, 1):
-            inverse[y] = x
+        if self._has_tail:
+            inverse = [0] * (n + 1)
+            for x, y in enumerate(pi, 1):
+                inverse[y] = x
+        constant = self._constant
+        count = 0 if m else 1  # the empty pattern has the one empty match
         matches: list[tuple[int, ...]] = [()]
         for i, (adjacent, head_of, tail_of, loop) in enumerate(steps):
             hi = n - m + i + 1  # room is left for the points after i
+            counted = constant is not None and i == m - 1
             placed = []
-            for L in matches:
-                lo = L[-1] + 1 if L else 1
-                if adjacent:
-                    candidates = (lo,)
-                elif head_of is not None:
-                    candidates = (pi[L[head_of] - 1],)
-                elif tail_of is not None:
-                    candidates = (inverse[L[tail_of]],)
-                else:
-                    candidates = range(lo, hi + 1)
-                for x in candidates:
-                    if not lo <= x <= hi:
+            if adjacent or head_of is not None or tail_of is not None:
+                for L in matches:  # L is never empty: the first point is free
+                    x = (L[-1] + 1 if adjacent else pi[L[head_of] - 1] if head_of is not None
+                         else inverse[L[tail_of]])
+                    if not (L[-1] < x <= hi
+                            and (head_of is None or pi[L[head_of] - 1] == x)
+                            and (tail_of is None or pi[x - 1] == L[tail_of])
+                            and (not loop or pi[x - 1] == x)):
                         continue
-                    if head_of is not None and pi[L[head_of] - 1] != x:
-                        continue
-                    if tail_of is not None and pi[x - 1] != L[tail_of]:
-                        continue
-                    if loop and pi[x - 1] != x:
-                        continue
-                    placed.append(L + (x,))
+                    if counted:
+                        count += 1
+                    else:
+                        placed.append(L + (x,))
+            else:
+                for L in matches:
+                    xs = range(L[-1] + 1 if L else 1, hi + 1)
+                    if loop:
+                        xs = [x for x in xs if pi[x - 1] == x]
+                    if counted:
+                        count += len(xs)
+                    else:
+                        for x in xs:
+                            placed.append(L + (x,))
             matches = placed
-        total = self.weight.sum_over(matches)
+        total = count * constant if constant is not None else self.weight.sum_over(matches)
         return total.numerator if total.denominator == 1 else total
 
     def __str__(self) -> str:
@@ -266,7 +280,10 @@ class RegularStatistic(Value):
     def evaluate(self, pi) -> int | Fraction:
         """Psi(pi), the sum of its translates' values: an int whenever every
         weight coefficient is an integer."""
-        return sum(t.evaluate(pi) for t in self.translates)
+        total = 0
+        for t in self.translates:
+            total += t.evaluate(pi)
+        return total
 
     # -- moments ------------------------------------------------------
 

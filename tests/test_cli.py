@@ -421,6 +421,17 @@ class TestExitCodes:
         assert "Traceback" not in done.stderr
         assert message in done.stderr
 
+    @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 7999,
+                        reason="this interpreter converts a 7999-digit int to text")
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_coefficient_longer_than_int_converts(self, json_flag):
+        # 4000 ones pass the literal check, and the second moment squares
+        # them into coefficients of 7999 digits
+        done = run_process("moment", "1" * 4000 + "*exc", "-d", "2", *json_flag, timeout=30)
+        assert (done.returncode, done.stdout) == (3, "")
+        assert "Traceback" not in done.stderr
+        assert "a number of 7999 digits is longer than int converts to text" in done.stderr
+
     def test_weight_index_past_the_text_builds_no_variable(self):
         # x1000000000 would be a variable of a 10^9-entry exponent tuple
         done = run_process(

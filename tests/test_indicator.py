@@ -239,6 +239,18 @@ class TestDiskCache:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["cache.json"]
 
+    def test_written_file_is_not_removed(self, tmp_path, monkeypatch):
+        # the temporary file is renamed over the cache, so nothing is left
+        # to remove after a write that succeeds
+        removed = []
+        monkeypatch.setattr(os, "remove", removed.append)
+        path = tmp_path / "cache.json"
+        cache = indicator._MomentCache()
+        cache.configure_disk(str(path))
+        cache.get_or_compute(CyclePathType((1,), ()))
+        assert removed == []
+        assert os.listdir(tmp_path) == ["cache.json"]
+
     def test_types_computed_before_configuring_are_written(self, tmp_path):
         path = tmp_path / "cache.json"
         on_disk = CyclePathType((1,), ())

@@ -1,7 +1,9 @@
 """Self-checks for the brute-force oracle itself."""
 
 import time
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -57,6 +59,19 @@ class TestClasses:
         for lam, members in table.items():
             assert len(members) == class_size(lam)
             assert all(cycle_type(w) == lam for w in members)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_class_table_is_s_n_by_cycle_type(self, n):
+        # the reference buckets every permutation by its cycle type; the
+        # table grows S_n from S_(n-1) and must hold the same members once each
+        reference = {lam: [] for lam in partitions(n)}
+        for w in permutations(range(1, n + 1)):
+            reference[cycle_type(w)].append(w)
+        table = class_table(n)
+        assert list(table) == list(reference)
+        for lam, members in table.items():
+            assert len(set(members)) == len(members), lam
+            assert Counter(members) == Counter(reference[lam]), lam
 
     def test_class_size_mismatch_raises(self, monkeypatch):
         # the self-check must survive python -O, so it cannot be an assert

@@ -1,17 +1,20 @@
 """Sparse exact polynomials: arithmetic, grading, serialization."""
 
+import sys
 from fractions import Fraction
 from math import perm
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cycstat.errors import ResourceLimitError
 from cycstat.poly import (
     N,
     NEG_INF,
     ONE,
     Poly,
     ZERO,
+    decimal,
     divide_exact_in_n,
     falling_factorial_poly,
     from_json_dict,
@@ -221,6 +224,20 @@ class TestRendering:
 
     def test_weight_universe(self):
         assert to_text(xvar(1) * xvar(2), "weight") == "x1*x2"
+
+    def test_decimal_is_str(self):
+        for c in (0, -7, 10**40, Fraction(-3, 4), Fraction(1, 10**40)):
+            assert decimal(c) == str(c)
+
+    @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                        reason="this interpreter converts a 5000-digit int to text")
+    @pytest.mark.parametrize("c, digits", [
+        (10**4999, 5000), (-(10**5000 - 1), 5000), (Fraction(1, 3 * 10**5000), 5001),
+    ], ids=["power-of-ten", "all-nines", "denominator"])
+    def test_number_longer_than_int_converts(self, c, digits):
+        for render in (decimal, lambda c: to_text(c * N), lambda c: to_json_dict(c * N)):
+            with pytest.raises(ResourceLimitError, match=f"a number of {digits} digits"):
+                render(c)
 
     def test_integerize(self):
         p = Fraction(1, 2) * N - Fraction(1, 3) * mvar(1)

@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from cycstat import translates
 from cycstat.errors import MalformedInputError, ResourceLimitError
@@ -73,6 +74,40 @@ def scanned_evaluate(t, pi):
     return total
 
 
+@st.composite
+def constrained_translates(draw):
+    """A packed translate on at most five points: edges u -> target(u) of a
+    random permutation on the kept points, relabelled onto their support in
+    order, C a subset of [m - 1], and a weight that is an int, a non-integer
+    Fraction or a polynomial (integer and fractional coefficients)."""
+    k = draw(st.integers(1, 5))
+    target = draw(st.permutations(range(1, k + 1)))
+    kept = draw(st.lists(st.booleans(), min_size=k, max_size=k).filter(any))
+    edges = [(u, target[u - 1]) for u in range(1, k + 1) if kept[u - 1]]
+    rank = {p: r for r, p in enumerate(sorted({p for e in edges for p in e}), 1)}
+    m = len(rank)
+    C = draw(st.sets(st.integers(1, m - 1))) if m > 1 else set()
+    kind = draw(st.sampled_from(["int", "fraction", "poly"]))
+    if kind == "int":
+        weight = Poly.const(draw(st.integers(-3, 3).filter(bool)))
+    elif kind == "fraction":
+        weight = Poly.const(draw(st.fractions(-3, 3, max_denominator=4).filter(
+            lambda f: f.denominator != 1)))
+    else:
+        coefficient = st.sampled_from([1, -2, 3, Fraction(1, 2), Fraction(-2, 3)])
+        monomials = draw(st.lists(st.tuples(coefficient, st.integers(1, m), st.integers(1, 2)),
+                                  min_size=1, max_size=3))
+        weight = draw(coefficient) + sum(c * xvar(i) ** e for c, i, e in monomials)
+        assume(weight.num_vars)
+    packed = PartialPermutation(tuple(rank[u] for u, _ in edges), tuple(rank[v] for _, v in edges))
+    return ConstrainedTranslate(packed, frozenset(C), weight)
+
+
+# every step kind at once: 1 a free point with a loop, 2 free, 3 forced
+# adjacent to 2, 4 the head of 2 -> 4 and 5 the tail of 5 -> 3
+EVERY_STEP = (PartialPermutation((1, 2, 5), (1, 4, 3)), frozenset({2}))
+
+
 class TestEvaluate:
     def test_excedance_on_three_cycle(self):
         # pi = 1->2->3->1 in one-line notation (2,3,1): excedances at 1, 2
@@ -130,6 +165,19 @@ class TestEvaluate:
             for n in range(nmax + 1):
                 for pi in permutations(range(1, n + 1)):
                     assert t.evaluate(pi) == scanned_evaluate(t, pi), (str(t), pi)
+
+    @given(constrained_translates())
+    @example(ConstrainedTranslate(*EVERY_STEP, Poly.const(3)))
+    @example(ConstrainedTranslate(*EVERY_STEP, Poly.const(Fraction(2, 3))))
+    @example(ConstrainedTranslate(*EVERY_STEP, xvar(1) * xvar(3) + Fraction(1, 2)))
+    @example(ConstrainedTranslate(PartialPermutation((), ()), frozenset(), Poly.const(-2)))
+    def test_equals_the_subset_scan_in_value_and_type(self, t):
+        for n in range(6):
+            for pi in permutations(range(1, n + 1)):
+                ref = scanned_evaluate(t, pi)
+                value = t.evaluate(pi)
+                assert value == ref, (str(t), pi)
+                assert type(value) is (int if ref.denominator == 1 else Fraction), (str(t), pi)
 
 
 class TestExpectation:
