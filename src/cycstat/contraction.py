@@ -17,46 +17,38 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from .partial import CyclePathType, PartialPermutation, component_type
-from .setpartitions import UnionFind
 
 
 def contract(p: PartialPermutation, blocks: Iterable[Sequence[int]]) -> CyclePathType:
     """Equivalence-close the blocks under successor/predecessor propagation
     and return the cycle-path type of the quotient graph."""
     m = len(p.support)
-    succ0 = p.edges()
-    pred0 = {v: u for u, v in succ0.items()}
+    parent = list(range(m + 1))
 
-    uf = UnionFind(m + 1)
-    # one representative successor/predecessor per class, keyed by root;
-    # uniting two classes that both know a successor forces those
-    # successors together, which keeps propagation transitive
-    succ = dict(succ0)
-    pred = dict(pred0)
-    queue: list[tuple[int, int]] = []
+    def root(x: int) -> int:
+        while parent[x] != x:
+            # path halving: x skips to its grandparent
+            parent[x] = x = parent[parent[x]]
+        return x
 
-    def union(a: int, b: int) -> None:
-        ra, rb = uf.find(a), uf.find(b)
-        if ra == rb:
-            return
-        root = uf.union(ra, rb)
+    # one successor and one predecessor per class, keyed by its root (an entry
+    # moves when its root joins another); joining two classes that both have
+    # one forces those two together, which keeps propagation transitive
+    succ = p.edges()
+    pred = {v: u for u, v in succ.items()}
+    joins = [(block[0], x) for block in blocks for x in block[1:]]
+    while joins:
+        a, b = joins.pop()
+        a, b = root(a), root(b)
+        if a == b:
+            continue
+        parent[b] = a
         for neighbor in (succ, pred):
-            na = neighbor.pop(ra, None)
-            nb = neighbor.pop(rb, None)
-            if na is not None and nb is not None:
-                queue.append((na, nb))
-            keep = na if na is not None else nb
-            if keep is not None:
-                neighbor[root] = keep
+            if b in neighbor:
+                if a in neighbor:
+                    joins.append((neighbor[a], neighbor.pop(b)))
+                else:
+                    neighbor[a] = neighbor.pop(b)
 
-    for block in blocks:
-        for x in block[1:]:
-            union(block[0], x)
-            while queue:
-                union(*queue.pop())
-
-    quotient_edges = {}
-    for u, v in succ0.items():
-        quotient_edges[uf.find(u)] = uf.find(v)
-    vertices = {uf.find(v) for v in range(1, m + 1)}
-    return component_type(quotient_edges, vertices)
+    quotient_edges = {r: root(v) for r, v in succ.items()}
+    return component_type(quotient_edges, {root(v) for v in range(1, m + 1)})

@@ -15,7 +15,6 @@ from math import perm, prod
 from .errors import DegenerateEvaluationError, InternalConsistencyError
 from .poly import (
     Poly,
-    N,
     decimal,
     divide_exact_in_n,
     falling_factorial_poly,
@@ -147,6 +146,5 @@ def _cofactor(den: tuple[int, ...], target: tuple[int, ...]) -> Poly:
     out = Poly.const(1)
     den = den + (0,) * (len(target) - len(den))
     for have, want in zip(den, target):
-        for i in range(have, want):
-            out = out * (N - Poly.const(i))
+        out = out * falling_factorial_poly(want - have, have)
     return out

@@ -123,16 +123,12 @@ class _MomentCache:
         tmp = f"{self._disk_path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w") as fh:
-                json.dump(payload, fh)
+                fh.write(json.dumps(payload))
             os.replace(tmp, self._disk_path)
         except OSError:
             # the rename did not happen, so a temporary file may be left
             with contextlib.suppress(OSError):
                 os.remove(tmp)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
 
 
 def _read_disk(path: str) -> dict[CyclePathType, Poly]:
@@ -152,9 +148,7 @@ def _read_disk(path: str) -> dict[CyclePathType, Poly]:
             raise ValueError("not a JSON object")
         entries = {}
         for key, poly_data in raw.items():
-            t = _type_from_key(key)
-            if t.key != key:
-                raise ValueError(f"bad type key {key!r}")
+            t = CyclePathType.from_key(key)
             entries[t] = _check_entry(t, from_json_dict(poly_data, t.size))
         return entries
     except (ValueError, TypeError, KeyError, IndexError, AttributeError,
@@ -246,11 +240,3 @@ def indicator_expectation(p: PartialPermutation, lam) -> Fraction:
     t = p.cycle_path_type()
     f = indicator_moment(t)
     return f.evaluate(evaluation_point(lam, t.size)) / perm(n, t.support_size)
-
-
-def _type_from_key(key: str) -> CyclePathType:
-    mu_part, nu_part = key.split(";")
-    def parse(chunk: str) -> tuple[int, ...]:
-        inner = chunk.split("[", 1)[1].rstrip("]")
-        return tuple(int(x) for x in inner.split(",") if x)
-    return CyclePathType(parse(mu_part), parse(nu_part))

@@ -85,6 +85,20 @@ class CyclePathType(Value):
         nu = ",".join(map(str, self.paths))
         return f"mu=[{mu}];nu=[{nu}]"
 
+    @classmethod
+    def from_key(cls, key: str) -> "CyclePathType":
+        """Inverse of key; refuses a string key does not write, e.g. "mu=[1,2];nu=[]"."""
+        mu, nu = key.split(";")
+
+        def parse(chunk: str) -> tuple[int, ...]:
+            inner = chunk.split("[", 1)[1].rstrip("]")
+            return tuple(int(x) for x in inner.split(",") if x)
+
+        t = cls(parse(mu), parse(nu))
+        if t.key != key:
+            raise MalformedInputError(f"bad type key {key!r}")
+        return t
+
     def representative(self) -> PartialPermutation:
         """Canonical packed partial permutation of this type: cycles laid out
         first over consecutive integers (decreasing length), then paths."""

@@ -259,10 +259,10 @@ def xvar(i: int) -> Poly:
     return Poly.variable(i - 1)
 
 
-def falling_factorial_poly(a: int) -> Poly:
-    """(n)_a = n(n-1)...(n-a+1) as an engine polynomial."""
+def falling_factorial_poly(a: int, start: int = 0) -> Poly:
+    """(n - start)_a, the product of n - i over start <= i < start + a."""
     out = ONE
-    for i in range(a):
+    for i in range(start, start + a):
         out = out * (N - Poly.const(i))
     return out
 

@@ -12,29 +12,6 @@ from functools import lru_cache
 from math import factorial
 
 
-class UnionFind:
-    """Array-backed union-find over 0..n-1 with path compression."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-        return ra
-
-
 def set_partitions(m: int):
     """Yield every partition of [m] exactly once (Bell(m) of them), in
     lexicographic order of the restricted-growth string: each element joins

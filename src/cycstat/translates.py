@@ -340,19 +340,12 @@ class RegularStatistic(Value):
 def class_expectation(sums: Mapping[CyclePathType, Poly]) -> RationalExpectation:
     """E_lambda symbolically: for each support size m, sum S * f over the
     types and normalise over (n)_m once."""
-    by_support: dict[int, Poly] = {}
-    for t, S in sums.items():
-        m = t.support_size
-        by_support[m] = by_support.get(m, ZERO) + S * indicator_moment(t)
-    return _over_falling(by_support)
+    return _over_falling((t.support_size, S * indicator_moment(t)) for t, S in sums.items())
 
 
 def uniform_expectation(sums: Mapping[CyclePathType, Poly]) -> RationalExpectation:
     """E over all of S_n: each indicator of k pairs has probability 1/(n)_k."""
-    by_size: dict[int, Poly] = {}
-    for t, S in sums.items():
-        by_size[t.size] = by_size.get(t.size, ZERO) + S
-    return _over_falling(by_size)
+    return _over_falling((t.size, S) for t, S in sums.items())
 
 
 def class_value(sums: Mapping[CyclePathType, Poly], lam) -> Fraction:
@@ -370,8 +363,11 @@ def class_value(sums: Mapping[CyclePathType, Poly], lam) -> Fraction:
     return total
 
 
-def _over_falling(nums: dict[int, Poly]) -> RationalExpectation:
-    """sum over a of nums[a] / (n)_a."""
+def _over_falling(pairs) -> RationalExpectation:
+    """sum of num / (n)_a over the pairs (a, num), the nums of one a added first."""
+    nums: dict[int, Poly] = {}
+    for a, num in pairs:
+        nums[a] = nums.get(a, ZERO) + num
     out = ZERO_EXPECTATION
     for a in sorted(nums):
         out = out + RationalExpectation(nums[a], (a,))

@@ -541,7 +541,7 @@ class TestDiskCache:
     def test_cache_round_trip(self, tmp_path, capsys):
         path = str(tmp_path / "cache.json")
         code1, out1, _ = run(capsys, "moment", "exc", "--cache", path)
-        data = json.loads(open(path).read())
+        data = json.loads(Path(path).read_text())
         assert any(key.startswith("mu=") for key in data)
         code2, out2, _ = run(capsys, "moment", "exc", "--cache", path)
         assert (code1, code2) == (0, 0)
@@ -597,6 +597,10 @@ class TestDiskCache:
             # m10000000 is above the type's size 1, and refused before an
             # exponent tuple of 10^7 entries is built
             b'{"mu=[];nu=[1]": {"terms": [{"coef": "1", "exps": {"m10000000": 1}}]}}',
+            # keys that parse but are not the key of their type, each with the
+            # right polynomial of that type (2*m1*m2 and 2*m2)
+            b'{"mu=[1,2];nu=[]": {"terms": [{"coef": "2", "exps": {"m1": 1, "m2": 1}}]}}',
+            b'{"mu=[ 2];nu=[]": {"terms": [{"coef": "2", "exps": {"m2": 1}}]}}',
         ],
     )
     def test_corrupt_cache_rejected_untouched(self, tmp_path, capsys, fresh_cache, content):

@@ -229,15 +229,23 @@ class TestDiskCache:
         before = path.read_bytes()
         assert json.loads(before) == {"mu=[1];nu=[]": {"terms": [{"coef": "1", "exps": {"m1": 1}}]}}
 
-        def failing_dump(obj, fh):
-            fh.write(json.dumps(obj)[:10])
+        # the cache encodes with json.dumps after opening its temporary file
+        def failing_dumps(obj):
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(json, "dump", failing_dump)
+        monkeypatch.setattr(json, "dumps", failing_dumps)
         result = cache.get_or_compute(CyclePathType((), (1,)))
         assert result == N - mvar(1)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["cache.json"]
+
+    def test_written_file_is_json_dumps_of_entries(self, tmp_path):
+        path = tmp_path / "cache.json"
+        cache = indicator._MomentCache()
+        cache.configure_disk(str(path))
+        types = [CyclePathType((1,), ()), CyclePathType((), (1,)), CyclePathType((2,), (2, 1))]
+        entries = {t.key: to_json_dict(cache.get_or_compute(t)) for t in types}
+        assert path.read_text() == json.dumps(entries)
 
     def test_written_file_is_not_removed(self, tmp_path, monkeypatch):
         # the temporary file is renamed over the cache, so nothing is left

@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import all_cycle_path_types
 from cycstat.errors import MalformedInputError
 from cycstat.partial import (
     CyclePathType,
@@ -76,6 +77,19 @@ class TestCyclePathType:
             rep = t.representative()
             assert rep.support == tuple(range(1, t.support_size + 1))
             assert rep.cycle_path_type() == t
+
+    def test_from_key_inverts_key(self):
+        types = [CyclePathType((), ())] + all_cycle_path_types(6)
+        assert len(types) == 139
+        for t in types:
+            assert CyclePathType.from_key(t.key) == t
+
+    @pytest.mark.parametrize(
+        "key", ["mu=[1,2];nu=[]", "mu=[ 2];nu=[]", "mu=[2,];nu=[]", "mu=[];nu=[+1]", "mu=[];nu=[1]]"]
+    )
+    def test_from_key_refuses_a_key_not_written(self, key):
+        with pytest.raises(MalformedInputError, match="bad type key"):
+            CyclePathType.from_key(key)
 
 
 def _components_by_vertex_lists(edges, vertices):

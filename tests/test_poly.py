@@ -189,6 +189,8 @@ class TestFallingFactorials:
         for a in range(5):
             for n in range(8):
                 assert falling_factorial_poly(a).evaluate((n,)) == perm(n, a)
+                for start in range(1, n + 1):
+                    assert falling_factorial_poly(a, start).evaluate((n,)) == perm(n - start, a)
 
     def test_division(self):
         num = falling_factorial_poly(3) * (N - mvar(1))
