@@ -42,7 +42,7 @@ class RationalExpectation(Value):
         factor that fails is never tried again: if (n)_b does not divide N,
         it does not divide N / (n)_a either."""
         kept = []
-        for a in [] if num.is_zero else sorted((int(a) for a in den if a), reverse=True):
+        for a in sorted((int(a) for a in den if a), reverse=True):
             quo = divide_exact_in_n(num, range(a))
             if quo is None:
                 kept.append(a)
@@ -53,7 +53,6 @@ class RationalExpectation(Value):
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "RationalExpectation") -> "RationalExpectation":
-        other = _coerce(other)
         target = _common_den(self.den, other.den)
         num = self.num * _cofactor(self.den, target) + other.num * _cofactor(
             other.den, target
@@ -63,8 +62,8 @@ class RationalExpectation(Value):
     def __neg__(self) -> "RationalExpectation":
         return RationalExpectation(-self.num, self.den)
 
-    def __sub__(self, other) -> "RationalExpectation":
-        return self + (-_coerce(other))
+    def __sub__(self, other: "RationalExpectation") -> "RationalExpectation":
+        return self + (-other)
 
     def __mul__(self, other) -> "RationalExpectation":
         if isinstance(other, RationalExpectation):
@@ -123,14 +122,6 @@ class RationalExpectation(Value):
 
 
 ZERO_EXPECTATION = RationalExpectation(Poly(), ())
-
-
-def _coerce(x) -> RationalExpectation:
-    if isinstance(x, RationalExpectation):
-        return x
-    if isinstance(x, Poly):
-        return RationalExpectation(x, ())
-    return RationalExpectation(Poly.const(x), ())
 
 
 def _common_den(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -77,6 +77,16 @@ def unrestricted_count_poly(t: CyclePathType) -> Poly:
     return out
 
 
+def check_bell_cap(t: CyclePathType) -> None:
+    """A pre-flight guard on the one Bell enumeration, over the path vertices."""
+    p = sum(t.paths) + len(t.paths)
+    if p > BELL_CAP:
+        raise ResourceLimitError(
+            f"path-vertex count {p} exceeds the Bell cap {BELL_CAP} "
+            f"(Bell({p}) = {bell_number(p)} set partitions)"
+        )
+
+
 class _MomentCache:
     """In-process cache with single-flight computation and an optional
     on-disk JSON mirror."""
@@ -97,14 +107,7 @@ class _MomentCache:
                 self._flush_locked()
 
     def get_or_compute(self, t: CyclePathType) -> Poly:
-        # a pre-flight guard on the one Bell enumeration, over the path
-        # vertices; a cached type is refused like a new one
-        p = sum(t.paths) + len(t.paths)
-        if p > BELL_CAP:
-            raise ResourceLimitError(
-                f"path-vertex count {p} exceeds the Bell cap {BELL_CAP} "
-                f"(Bell({p}) = {bell_number(p)} set partitions)"
-            )
+        check_bell_cap(t)  # a cached type is refused like a new one
         with self._lock:
             hit = self._data.get(t)
             if hit is not None:
@@ -196,7 +199,7 @@ def _compute(t: CyclePathType) -> Poly:
         shift[c] = mvar(c) - a
     poly = _cycle_factor(t.cycles) * path_factor.substitute(shift)
     k = t.size
-    if t.support_size and poly.graded_degree() != k:
+    if poly.graded_degree() != k:
         raise InternalConsistencyError(
             f"indicator polynomial for {t.key} has graded degree "
             f"{poly.graded_degree()}, expected {k}"
@@ -233,7 +236,7 @@ def indicator_expectation(p: PartialPermutation, lam) -> Fraction:
     """P[pi(i_t) = j_t for all t] for pi uniform on the class of lambda."""
     lam = tuple(lam)
     n = sum(lam)
-    if p.support and max(p.support) > n:
+    if max(p.support, default=0) > n:
         raise MalformedInputError(
             f"support {p.support} exceeds the ground set [{n}]"
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .errors import MalformedInputError
+from .errors import InternalConsistencyError, MalformedInputError
 from .value import Value
 
 
@@ -122,8 +122,12 @@ class CyclePathType(Value):
 def component_type(edges: dict[int, int], vertices) -> CyclePathType:
     """Cycle-path type of a functional digraph with in/out degree <= 1:
     each path is walked from its source, the one vertex with no incoming
-    edge, and each cycle from a vertex no path reached."""
+    edge, and each cycle from a vertex no path reached.  A vertex with two
+    predecessors is refused: a path walked into a cycle would go round it
+    forever."""
     heads = set(edges.values())
+    if len(heads) != len(edges):
+        raise InternalConsistencyError(f"a vertex of {edges} has two predecessors")
     seen = set()
     mu, nu = [], []
     for v in vertices:

@@ -47,8 +47,8 @@ class BivincularPattern(Value):
 
     @property
     def power(self) -> int:
-        deg_f = max(int(self.f.total_degree()), 0) if not self.f.is_zero else 0
-        deg_g = max(int(self.g.total_degree()), 0) if not self.g.is_zero else 0
+        deg_f = int(max(self.f.total_degree(), 0))
+        deg_g = int(max(self.g.total_degree(), 0))
         return self.size + deg_f + deg_g - self.shift
 
 
@@ -63,10 +63,6 @@ def compile_bivincular(pattern: BivincularPattern) -> RegularStatistic:
     """
     sigma = pattern.sigma
     k = pattern.size
-    if k == 0:
-        return RegularStatistic.constant(
-            pattern.f.constant_value() * pattern.g.constant_value()
-        )
     out: list[ConstrainedTranslate] = []
     for U, vset in covering_injections(k, k):
         # vset sorted ascending; value at position a has rank sigma[a]

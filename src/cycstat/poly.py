@@ -78,15 +78,11 @@ class Poly:
         return max((len(e) for e in self.terms), default=0)
 
     def total_degree(self):
-        if not self.terms:
-            return NEG_INF
-        return max(sum(e) for e in self.terms)
+        return max((sum(e) for e in self.terms), default=NEG_INF)
 
     def graded_degree(self):
         """Degree under deg(var 0) = 1 and deg(var i) = i for i >= 1."""
-        if not self.terms:
-            return NEG_INF
-        return max(_graded(e) for e in self.terms)
+        return max((_graded(e) for e in self.terms), default=NEG_INF)
 
     def coefficient(self, exps) -> Coefficient:
         return self.terms.get(_strip(exps), 0)
@@ -415,8 +411,6 @@ def _read_coefficient(c) -> Coefficient:
 def integerize(p: Poly) -> tuple[Poly, int]:
     """Write p = P / d with P having coprime integer coefficients and d a
     positive integer; returns (P, d)."""
-    if p.is_zero:
-        return p, 1
     q = lcm(*(c.denominator for c in p.terms.values()))
     scaled = {e: c.numerator * (q // c.denominator) for e, c in p.terms.items()}
     g = gcd(q, *scaled.values())

@@ -47,8 +47,6 @@ def mobius_lower(blocks) -> int:
 
 @lru_cache(maxsize=None)
 def bell_number(m: int) -> int:
-    if m == 0:
-        return 1
     row = [1]
     for _ in range(m - 1):
         nxt = [row[-1]]

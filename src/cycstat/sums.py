@@ -39,10 +39,6 @@ MAX_SUM_DEGREE = 200
 def constrained_subsets(n: int, k: int, C: frozenset[int]):
     """Yield increasing k-tuples from [n] with s[i+1] = s[i] + 1 for i in C
     (1-based positions within the tuple)."""
-    if k == 0:
-        if not C:
-            yield ()
-        return
     for combo in combinations(range(1, n + 1), k):
         if all(combo[i] == combo[i - 1] + 1 for i in C):
             yield combo

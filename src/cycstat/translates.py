@@ -35,7 +35,7 @@ from types import MappingProxyType
 
 from .errors import InternalConsistencyError, MalformedInputError, ResourceLimitError
 from .expectation import RationalExpectation, ZERO_EXPECTATION, evaluation_point
-from .indicator import indicator_moment
+from .indicator import check_bell_cap, indicator_moment
 from .partial import (CyclePathType, PartialPermutation, component_type, covering_injections,
                       placements, push_adjacencies)
 from .poly import ZERO, Poly, to_text, WEIGHT_VARS
@@ -198,11 +198,7 @@ class RegularStatistic(Value):
 
     @classmethod
     def constant(cls, c) -> "RegularStatistic":
-        c = Fraction(c)
-        if not c:
-            return cls(())
-        empty = PartialPermutation((), ())
-        return cls((ConstrainedTranslate(empty, frozenset(), Poly.const(c)),))
+        return _from_pairs([(((), (), ()), c)])  # the empty pattern, no constraint
 
     @property
     def is_zero(self) -> bool:
@@ -229,22 +225,11 @@ class RegularStatistic(Value):
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "RegularStatistic":
-        scalar = Fraction(scalar)
-        if not scalar:
-            return RegularStatistic(())
-        return RegularStatistic(
-            tuple(
-                ConstrainedTranslate(t.packed, t.constraints, scalar * t.weight)
-                for t in self.translates
-            )
-        )
+        return _from_pairs((t.key, scalar * t.weight) for t in self.translates)
 
     def __mul__(self, other):
         if isinstance(other, RegularStatistic):
-            # the placements are put in canonical form once, not again by __init__
-            out = RegularStatistic.__new__(RegularStatistic)
-            out.__dict__.update(translates=_canonical(_product(self, other).items()))
-            return out
+            return _from_pairs(_product(self, other).items())
         return self.__rmul__(other)
 
     def __pow__(self, d: int) -> "RegularStatistic":
@@ -339,7 +324,10 @@ class RegularStatistic(Value):
 
 def class_expectation(sums: Mapping[CyclePathType, Poly]) -> RationalExpectation:
     """E_lambda symbolically: for each support size m, sum S * f over the
-    types and normalise over (n)_m once."""
+    types and normalise over (n)_m once.  Every type is held to the Bell cap
+    before any f is computed."""
+    for t in sums:
+        check_bell_cap(t)
     return _over_falling((t.support_size, S * indicator_moment(t)) for t, S in sums.items())
 
 
@@ -403,6 +391,14 @@ def _product(left: RegularStatistic, right: RegularStatistic) -> dict[tuple, int
                     known = by_key.get(key)
                     by_key[key] = w if known is None else known + w
     return by_key
+
+
+def _from_pairs(pairs) -> RegularStatistic:
+    """The statistic of (key, weight) pairs, put in canonical form once, not
+    again by __init__."""
+    out = RegularStatistic.__new__(RegularStatistic)
+    out.__dict__.update(translates=_canonical(pairs))
+    return out
 
 
 def _canonical(pairs) -> tuple[ConstrainedTranslate, ...]:

@@ -17,7 +17,7 @@ from cycstat.dsl import parse_statistic
 from cycstat.expectation import RationalExpectation
 from cycstat.oracle import descent_count
 from cycstat.partial import placements
-from cycstat.poly import to_json_dict
+from cycstat.poly import ONE, to_json_dict
 from cycstat.translates import RegularStatistic
 
 
@@ -136,6 +136,16 @@ class TestMoment:
         )
         assert (done.returncode, done.stderr) == (0, "")
         assert "value at lambda=(1000000000): 500000000" in done.stdout.splitlines()
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("moment", "0*exc", "-d", "2"), "moment d=2: 0\ngraded degree -inf (bound 0)\n"),
+        (("moment", "biv(21;A={};B={};f=0;g=1)", "-d", "2"),
+         "moment d=2: 0\ngraded degree -inf (bound 0)\n"),
+        (("expand", "0*exc"), "size=0 shift=0 power=0\n"),
+        (("moment", "3", "-d", "2"), "moment d=2: 9\ngraded degree 0 (bound 0)\n"),
+    ], ids=["zero-multiple", "zero-weight-pattern", "expand-zero", "constant"])
+    def test_zero_and_constant_statistics(self, capsys, argv, expected):
+        assert run(capsys, *argv) == (0, expected, "")
 
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "moment", "exc", "-d", "1", "--json", "--lambda", "3")
@@ -344,6 +354,22 @@ class TestExitCodes:
         code, _, _ = run(capsys, "moment", "exc", "--lambda", "2,x")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("moment", "exc", "--variance"), "--variance requires -d 2"),
+        (("moment", "exc", "--lambda", "0,1"), "cycle lengths must be positive"),
+        (("verify", "exc", "-d", "0"), "-d must be >= 1"),
+    ], ids=["variance-at-d-1", "zero-cycle-length", "verify-order-zero"])
+    def test_bad_option_value(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_consistency_violation_names_the_type(self, capsys, monkeypatch):
+        # without its cycle factor, mu=[2];nu=[1] has graded degree 1, not 3
+        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        monkeypatch.setattr(indicator, "_cycle_factor", lambda cycles: ONE)
+        code, out, err = run(capsys, "moment", "T(U=(1,2,3);V=(2,1,4);C={};f=1)")
+        assert (code, out) == (4, "")
+        assert err.startswith("consistency violation:") and "mu=[2];nu=[1]" in err
+
     def test_unpacked_pattern_checked_before_zero_weight(self, capsys):
         # the pattern is checked before the weight
         code, out, err = run(capsys, "expand", "T(U=(1);V=(3);C={};f=0)")
@@ -396,7 +422,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("expr", [
         "biv(1;A={};B={};f=" + "(" * 250 + "x1" + ")" * 250 + ";g=1)",
         "2*" * 1000 + "exc",
-    ], ids=["nested-weight", "long-product"])
+        "1*" * 3000 + "exc",
+    ], ids=["nested-weight", "long-product", "long-unit-product"])
     def test_deep_nesting_is_a_resource_limit(self, expr):
         # the parser descends one Python frame or more per level
         done = run_process("moment", expr, timeout=30)
@@ -411,8 +438,12 @@ class TestExitCodes:
         ("1" * 5000 + "*exc", 3, "integer literal at position 0 has 5000 digits"),
         ("exc^" + "1" * 5000, 3, "integer literal at position 4 has 5000 digits"),
         ("T(U=(1);V=(2);C={};f=x10000000)", 2, "a variable index at most 31"),
+        ("+", 2, "expected a statistic name, 'N', 'biv' or 'T', found '+'"),
+        ("T(U=(1);V=(2);C={};f=x0)", 2, "expected a variable x1, x2, ..., found 'x0'"),
+        ("biv(12;A={};B={};f=x3;g=1)", 2, "weight f uses more than 2 variables"),
     ], ids=["superscript-exponent", "arabic-indic-digits", "long-literal",
-            "long-exponent", "weight-index"])
+            "long-exponent", "weight-index", "leading-operator", "weight-index-zero",
+            "weight-past-the-pattern"])
     def test_malformed_input_fails_fast(self, expr, code, message):
         start = time.perf_counter()
         done = run_process("moment", expr, timeout=30)
@@ -500,6 +531,18 @@ class TestExitCodes:
         code, out, err = run(capsys, "moment", "exc")
         assert code == 3
         assert out == "" and "Bell cap 0" in err
+
+    def test_bell_cap_checked_before_any_polynomial(self, capsys, monkeypatch):
+        # N(123) has types of 6 path vertices, and of fewer that come first
+        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        monkeypatch.setattr(indicator, "BELL_CAP", 5)
+        computed = []
+        compute = indicator._compute
+        monkeypatch.setattr(indicator, "_compute", lambda t: computed.append(t) or compute(t))
+        code, out, err = run(capsys, "moment", "N(123)")
+        assert (code, out) == (3, "")
+        assert "path-vertex count 6 exceeds the Bell cap 5" in err
+        assert computed == []
 
     def test_bad_moment_order(self, capsys):
         code, _, _ = run(capsys, "moment", "exc", "-d", "0")

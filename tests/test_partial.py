@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import all_cycle_path_types
-from cycstat.errors import MalformedInputError
+from cycstat.errors import InternalConsistencyError, MalformedInputError
 from cycstat.partial import (
     CyclePathType,
     PartialPermutation,
@@ -138,6 +138,13 @@ def test_component_type_matches_reference_walk():
                 assert PartialPermutation(positions, values).cycle_path_type() == expected
                 count += 1
     assert count == 1546
+
+
+@pytest.mark.parametrize("edges", [{1: 3, 3: 4, 4: 3}, {1: 2, 3: 2}],
+                         ids=["path-into-cycle", "two-paths-into-one"])
+def test_component_type_refuses_two_predecessors(edges):
+    with pytest.raises(InternalConsistencyError, match="two predecessors"):
+        component_type(edges, set(edges) | set(edges.values()))
 
 
 @given(

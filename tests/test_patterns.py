@@ -28,7 +28,7 @@ from cycstat.patterns import (
     maj,
     pattern_count,
 )
-from cycstat.poly import ONE, xvar
+from cycstat.poly import ONE, ZERO, xvar
 
 
 class TestValidation:
@@ -99,6 +99,12 @@ class TestCompilation:
             BivincularPattern((), frozenset(), frozenset(), ONE, ONE)
         )
         assert s.evaluate((3, 1, 2)) == 1
+
+    def test_zero_weight_patterns(self):
+        empty = BivincularPattern((), frozenset(), frozenset(), ZERO, ONE)
+        assert compile_bivincular(empty).is_zero and empty.power == 0
+        inversions = BivincularPattern((2, 1), frozenset(), frozenset(), ZERO, ONE)
+        assert compile_bivincular(inversions).is_zero and inversions.power == 2
 
 
 class TestBuiltins:
