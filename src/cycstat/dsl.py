@@ -154,10 +154,7 @@ def _parse_bivincular(toks: _Tokens) -> RegularStatistic:
     toks.expect(";")
     g = _field(toks, "g", _parse_poly)
     toks.expect(")")
-    sigma = tuple(int(ch) for ch in word)
-    return compile_bivincular(
-        BivincularPattern(sigma, frozenset(A), frozenset(B), f, g)
-    )
+    return compile_bivincular(BivincularPattern(word, frozenset(A), frozenset(B), f, g))
 
 
 def _parse_translate(toks: _Tokens) -> RegularStatistic:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import stat
 import threading
 from collections import Counter
 from fractions import Fraction
@@ -135,14 +136,22 @@ class _MomentCache:
 
 
 def _read_disk(path: str) -> dict[CyclePathType, Poly]:
-    """The entries of a cache file; a missing or empty file is an empty
-    cache, anything but a JSON object of type-key -> polynomial is refused,
-    and so is an entry that fails _check_entry."""
+    """The entries of a cache file; a missing path or an empty file is an
+    empty cache, any other path but a readable regular file is refused before
+    it is read (a FIFO opens without blocking), and so is anything but a
+    JSON object of type-key -> polynomial, or an entry that fails
+    _check_entry."""
     try:
-        with open(path, "rb") as fh:
-            text = fh.read()
-    except OSError:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except FileNotFoundError:
         return {}
+    except OSError as exc:
+        raise MalformedInputError(f"cache file {path} cannot be opened: {exc.strerror}") from None
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        raise MalformedInputError(f"cache file {path} is not a regular file")
+    with open(fd, "rb") as fh:
+        text = fh.read()
     if not text.strip():
         return {}
     try:

@@ -12,17 +12,18 @@ induces, which turns the count into a sum of constrained translates.
 from __future__ import annotations
 
 from .errors import MalformedInputError
-from .partial import PartialPermutation, covering_injections, push_adjacencies
+from .partial import covering_injections, push_adjacencies
 from .poly import ONE, Poly, xvar
-from .translates import ConstrainedTranslate, RegularStatistic
+from .translates import RegularStatistic, from_pairs
 from .value import Value
 
 
 class BivincularPattern(Value):
     _fields = ("sigma", "A", "B", "f", "g")
 
-    def __init__(self, sigma: tuple[int, ...], A: frozenset[int], B: frozenset[int],
+    def __init__(self, sigma: tuple[int, ...] | str, A: frozenset[int], B: frozenset[int],
                  f: Poly, g: Poly):
+        """sigma is a word, a tuple of letters or a digit string like "132"."""
         sigma = tuple(int(s) for s in sigma)
         self.__dict__.update(sigma=sigma, A=frozenset(int(a) for a in A),
                              B=frozenset(int(b) for b in B), f=f, g=g)
@@ -59,11 +60,12 @@ def compile_bivincular(pattern: BivincularPattern) -> RegularStatistic:
     increasing) and the k values (as a set, arranged in sigma's relative
     order) so that they cover [m], the occurrence indicator becomes a packed
     partial permutation; the A/B adjacencies force consecutive support
-    elements and become subset constraints.
+    elements and become subset constraints.  The (key, weight) pairs go to
+    from_pairs, which builds each translate once.
     """
     sigma = pattern.sigma
     k = pattern.size
-    out: list[ConstrainedTranslate] = []
+    pairs = []
     for U, vset in covering_injections(k, k):
         # vset sorted ascending; value at position a has rank sigma[a]
         V = tuple(vset[sigma[a] - 1] for a in range(k))
@@ -73,25 +75,15 @@ def compile_bivincular(pattern: BivincularPattern) -> RegularStatistic:
         if CA is None or CB is None:
             continue
         weight = pattern.f.relabel([u - 1 for u in U]) * pattern.g.relabel([v - 1 for v in V])
-        if weight.is_zero:
-            continue
-        packed = PartialPermutation(U, V)
-        out.append(ConstrainedTranslate(packed, frozenset(CA | CB), weight))
-    return RegularStatistic(tuple(out))
+        pairs.append(((U, V, tuple(sorted(CA | CB))), weight))
+    return from_pairs(pairs)
 
 
 def pattern_count(word, A=(), B=()) -> RegularStatistic:
     """N_{sigma,A[,B]} with unit weights; word is e.g. (2,1) or "21"."""
-    sigma = _word(word)
     return compile_bivincular(
-        BivincularPattern(sigma, frozenset(A), frozenset(B), ONE, ONE)
+        BivincularPattern(word, frozenset(A), frozenset(B), ONE, ONE)
     )
-
-
-def _word(word) -> tuple[int, ...]:
-    if isinstance(word, str):
-        return tuple(int(ch) for ch in word)
-    return tuple(int(x) for x in word)
 
 
 # -- named statistics --------------------------------------------------
@@ -99,20 +91,17 @@ def _word(word) -> tuple[int, ...]:
 
 def exc() -> RegularStatistic:
     """Excedance count: positions i with pi(i) > i."""
-    t = ConstrainedTranslate(PartialPermutation((1,), (2,)), frozenset(), ONE)
-    return RegularStatistic((t,))
+    return from_pairs([(((1,), (2,), ()), 1)])
 
 
 def fix() -> RegularStatistic:
     """Fixed-point count (the class function m_1)."""
-    t = ConstrainedTranslate(PartialPermutation((1,), (1,)), frozenset(), ONE)
-    return RegularStatistic((t,))
+    return from_pairs([(((1,), (1,), ()), 1)])
 
 
 def cyc2() -> RegularStatistic:
     """Number of 2-cycles (the class function m_2)."""
-    t = ConstrainedTranslate(PartialPermutation((1, 2), (2, 1)), frozenset(), ONE)
-    return RegularStatistic((t,))
+    return from_pairs([(((1, 2), (2, 1), ()), 1)])
 
 
 def des() -> RegularStatistic:

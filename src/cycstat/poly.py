@@ -90,7 +90,7 @@ class Poly:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other) -> "Poly":
-        other = _coerce(other)
+        other = as_poly(other)
         out = dict(self.terms)
         for exps, coef in other.terms.items():
             val = _lower(out.get(exps, 0) + coef)
@@ -106,13 +106,13 @@ class Poly:
         return _raw({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
-        return self + (-_coerce(other))
+        return self + (-as_poly(other))
 
     def __rsub__(self, other) -> "Poly":
-        return _coerce(other) + (-self)
+        return as_poly(other) + (-self)
 
     def __mul__(self, other) -> "Poly":
-        other = _coerce(other)
+        other = as_poly(other)
         out: dict[Exponents, Coefficient] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -230,10 +230,9 @@ def _raw(terms: dict[Exponents, Coefficient]) -> Poly:
     return p
 
 
-def _coerce(x) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    return Poly.const(x)
+def as_poly(x) -> Poly:
+    """x as a polynomial: a Poly itself, an int or a Fraction a constant."""
+    return x if isinstance(x, Poly) else Poly.const(x)
 
 
 ZERO = Poly()

@@ -11,7 +11,9 @@ a translate of the left factor and one of the right and adds the
 placements' weights per translate key; constant weights multiply as an int
 (a Fraction when one is not an integer), and only polynomial weights as
 Polys.  Psi * Psi' keeps the result as a statistic through _canonical,
-which is also how a statistic merges its own translates.
+which is also how a statistic merges its own translates and how pattern
+compilation and the named statistics build theirs from (key, weight) pairs:
+it is the one routine that makes engine data into translates.
 
 A statistic builds each power Psi^d once and keeps it.  Every moment reads
 type_sums(d): the constrained sums S(n) of the translates of Psi^d added up
@@ -38,7 +40,7 @@ from .expectation import RationalExpectation, ZERO_EXPECTATION, evaluation_point
 from .indicator import check_bell_cap, indicator_moment
 from .partial import (CyclePathType, PartialPermutation, component_type, covering_injections,
                       placements, push_adjacencies)
-from .poly import ZERO, Poly, to_text, WEIGHT_VARS
+from .poly import ZERO, Poly, as_poly, to_text, WEIGHT_VARS
 from .sums import constrained_sum
 from .value import Value
 
@@ -198,7 +200,7 @@ class RegularStatistic(Value):
 
     @classmethod
     def constant(cls, c) -> "RegularStatistic":
-        return _from_pairs([(((), (), ()), c)])  # the empty pattern, no constraint
+        return from_pairs([(((), (), ()), c)])  # the empty pattern, no constraint
 
     @property
     def is_zero(self) -> bool:
@@ -222,14 +224,15 @@ class RegularStatistic(Value):
         return RegularStatistic(self.translates + other.translates)
 
     def __sub__(self, other: "RegularStatistic") -> "RegularStatistic":
-        return self + (-1) * other
+        return from_pairs([(t.key, t.weight) for t in self.translates]
+                          + [(t.key, -t.weight) for t in other.translates])
 
     def __rmul__(self, scalar) -> "RegularStatistic":
-        return _from_pairs((t.key, scalar * t.weight) for t in self.translates)
+        return from_pairs((t.key, scalar * t.weight) for t in self.translates)
 
     def __mul__(self, other):
         if isinstance(other, RegularStatistic):
-            return _from_pairs(_product(self, other).items())
+            return from_pairs(_product(self, other).items())
         return self.__rmul__(other)
 
     def __pow__(self, d: int) -> "RegularStatistic":
@@ -393,9 +396,10 @@ def _product(left: RegularStatistic, right: RegularStatistic) -> dict[tuple, int
     return by_key
 
 
-def _from_pairs(pairs) -> RegularStatistic:
-    """The statistic of (key, weight) pairs, put in canonical form once, not
-    again by __init__."""
+def from_pairs(pairs) -> RegularStatistic:
+    """The statistic of (key, weight) pairs, key = (positions, values, C)
+    with C a sorted tuple, put in canonical form once, not again by
+    __init__; a weight is an int, a Fraction or a Poly."""
     out = RegularStatistic.__new__(RegularStatistic)
     out.__dict__.update(translates=_canonical(pairs))
     return out
@@ -410,7 +414,7 @@ def _canonical(pairs) -> tuple[ConstrainedTranslate, ...]:
         known = by_key.get(key)
         by_key[key] = w if known is None else known + w
     return tuple(
-        ConstrainedTranslate(PartialPermutation(positions, values), frozenset(C), _as_poly(w))
+        ConstrainedTranslate(PartialPermutation(positions, values), frozenset(C), as_poly(w))
         for (positions, values, C), w in sorted(by_key.items())  # the keys are distinct
         if w != 0
     )
@@ -462,7 +466,7 @@ def _grouped_sums(pairs) -> dict[CyclePathType, Poly]:
 
     sums: dict[CyclePathType, Poly] = {}
     for (t, C), w in by_type.items():
-        S, _ = constrained_sum(_as_poly(w), t.support_size, frozenset(C))
+        S, _ = constrained_sum(as_poly(w), t.support_size, frozenset(C))
         sums[t] = sums.get(t, ZERO) + S
     return sums
 
@@ -480,10 +484,6 @@ def _check_key(positions, values, C, w) -> set[int]:
     if isinstance(w, Poly) and w.num_vars > m:
         raise MalformedInputError(f"weight uses x{w.num_vars} but the support is [{m}]")
     return support
-
-
-def _as_poly(w) -> Poly:
-    return w if isinstance(w, Poly) else Poly.const(w)
 
 
 def _check_placements(left: RegularStatistic, right: RegularStatistic) -> None:

@@ -699,3 +699,32 @@ class TestDiskCache:
         assert code == 0
         assert "(n - m1) / 2" in out
         assert list(json.loads(path.read_bytes())) == ["mu=[];nu=[1]"]
+
+    def test_directory_refused_untouched(self, tmp_path, capsys, fresh_cache):
+        # was read as a missing file: exit 0, nothing cached, and a temporary
+        # file made and removed beside the directory
+        path = tmp_path / "cache"
+        path.mkdir()
+        code, out, err = run(capsys, "moment", "exc", "--cache", str(path))
+        assert (code, out) == (2, "")
+        assert f"cache file {path} is not a regular file" in err
+        assert list(tmp_path.iterdir()) == [path] and list(path.iterdir()) == []
+
+    def test_fifo_refused_without_blocking(self, tmp_path):
+        # opened for reading, a FIFO with no writer blocks forever, so the
+        # run is made in a child with a timeout
+        path = tmp_path / "cache.fifo"
+        os.mkfifo(path)
+        done = run_process("moment", "exc", "--cache", str(path), timeout=30)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert f"cache file {path} is not a regular file" in done.stderr
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_unopenable_path_refused(self, tmp_path, capsys, fresh_cache):
+        # a symbolic link to itself exists but opens as nothing
+        path = tmp_path / "loop.json"
+        path.symlink_to(path)
+        code, out, err = run(capsys, "moment", "exc", "--cache", str(path))
+        assert (code, out) == (2, "")
+        assert f"cache file {path} cannot be opened" in err
+        assert list(tmp_path.iterdir()) == [path] and path.is_symlink()

@@ -1,9 +1,10 @@
 """Bivincular pattern compilation and the named statistics."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
+from cycstat.dsl import parse_statistic
 from cycstat.errors import MalformedInputError
 from cycstat.oracle import (
     bivincular_count,
@@ -28,7 +29,9 @@ from cycstat.patterns import (
     maj,
     pattern_count,
 )
+from cycstat.partial import PartialPermutation, covering_injections, push_adjacencies
 from cycstat.poly import ONE, ZERO, xvar
+from cycstat.translates import ConstrainedTranslate, RegularStatistic
 
 
 class TestValidation:
@@ -137,3 +140,61 @@ class TestBuiltins:
         assert builtin("exc").translates == exc().translates
         with pytest.raises(MalformedInputError):
             builtin("nope")
+
+
+def built_one_by_one(pattern: BivincularPattern) -> RegularStatistic:
+    """The pattern count with each placement built as a translate and the
+    translates then merged by RegularStatistic: the reference that
+    compile_bivincular, which builds each translate once, must equal."""
+    out = []
+    for U, vset in covering_injections(pattern.size, pattern.size):
+        V = tuple(vset[s - 1] for s in pattern.sigma)
+        CA = push_adjacencies(pattern.A, U)
+        CB = push_adjacencies(pattern.B, vset)
+        if CA is None or CB is None:
+            continue
+        weight = pattern.f.relabel([u - 1 for u in U]) * pattern.g.relabel([v - 1 for v in V])
+        if not weight.is_zero:
+            out.append(ConstrainedTranslate(PartialPermutation(U, V), frozenset(CA | CB), weight))
+    return RegularStatistic(tuple(out))
+
+
+class TestOneBuild:
+    def test_each_translate_constructed_once(self, monkeypatch):
+        built = []
+        init = ConstrainedTranslate.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ConstrainedTranslate, "__init__", counting)
+        for make in (lambda: pattern_count("123"), des, maj, exc, fix, cyc2):
+            built.clear()
+            s = make()
+            assert len(built) == len(s.translates), make
+
+    def test_equals_the_translates_built_one_by_one(self):
+        x1, x2 = xvar(1), xvar(2)
+        for k in range(4):
+            subsets = [frozenset(c) for r in range(k + 1) for c in combinations(range(1, k), r)]
+            fs = [ONE, ZERO] + ([x1 - x2] if k >= 2 else [])
+            gs = [ONE] + ([x2] if k >= 2 else [])
+            for sigma in permutations(range(1, k + 1)):
+                for A in subsets:
+                    for B in subsets:
+                        for f in fs:
+                            for g in gs:
+                                p = BivincularPattern(sigma, A, B, f, g)
+                                assert compile_bivincular(p) == built_one_by_one(p), p
+        for sigma in permutations(range(1, 5)):
+            p = BivincularPattern(sigma, frozenset(), frozenset(), ONE, ONE)
+            assert compile_bivincular(p) == built_one_by_one(p), p
+
+    @pytest.mark.parametrize("make, text", [
+        (exc, "T(U=(1);V=(2);C={};f=1)"),
+        (fix, "T(U=(1);V=(1);C={};f=1)"),
+        (cyc2, "T(U=(1,2);V=(2,1);C={};f=1)"),
+    ])
+    def test_named_statistics_are_their_translates(self, make, text):
+        assert make() == parse_statistic(text)

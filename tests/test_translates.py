@@ -229,6 +229,14 @@ class TestRegularStatistic:
         s = EXC - EXC
         assert s.is_zero
 
+    @pytest.mark.parametrize("left, right", [
+        ("exc", "des"), ("maj", "inv"), ("exc", "exc"), ("1/3*exc + 1/2", "2*fix"),
+        ("biv(12;A={1};B={1};f=x1-x2;g=1)", "N(12)"), ("3", "0*exc"),
+    ])
+    def test_difference_is_sum_with_negation(self, left, right):
+        a, b = parse_statistic(left), parse_statistic(right)
+        assert a - b == a + (-1) * b
+
     def test_linear_combination_evaluation(self):
         s = 2 * EXC + Fraction(1, 2) * FIX
         w = (2, 3, 1)
