@@ -11,13 +11,10 @@ into the remaining n - |mu| points, so with a_c the number of c-cycles in mu
 
     f_{(mu,nu)}(n, m) = prod_c c^{a_c} (m_c)_{a_c} * f_{(0,nu)}(n - |mu|, m_c - a_c).
 
-The path factor f_{(0,nu)} is computed by Moebius inversion over the set
-partitions of the path vertices only: classifying arbitrary edge-respecting
-functions by their coincidence partition, the injective ones are recovered
-as the alternating sum of the unrestricted counts of the contraction
-quotients.  The unrestricted count depends on a partition only through its
-quotient type, so the Moebius values are added per type and each type's
-count is built once.
+The path factor f_{(0,nu)} lays each path, of s = l + 1 points, as an arc of
+s consecutive points on a cycle of the permutation, disjoint from the other
+arcs: a sum over the set partitions of the paths (grouped by the cycle they
+share) of products of block weights, each certified linear in the cycle length.
 """
 
 from __future__ import annotations
@@ -29,21 +26,24 @@ import stat
 import threading
 from collections import Counter
 from fractions import Fraction
-from math import perm
+from functools import cache
+from itertools import combinations
+from math import perm, prod
 
+# not called: perfbench/tracing.py patches this name and tests/test_bindings.py checks it
 from .contraction import contract
 from .errors import InternalConsistencyError, MalformedInputError, ResourceLimitError
 from .expectation import evaluation_point
 from .oracle import COUNT_CAP, injection_count
 from .partial import CyclePathType, PartialPermutation
-from .poly import N, Poly, from_json_dict, mvar, to_json_dict
-from .setpartitions import bell_number, mobius_lower, set_partitions
+from .poly import N, ONE, ZERO, Poly, from_json_dict, mvar, to_json_dict
+from .setpartitions import bell_number, set_partitions
 
-# most path vertices |nu| + l(nu) of one type: the Moebius loop visits
-# Bell(P) set partitions, 4.2M at P = 12.  Read at each call, so a test can
-# lower it.  It bounds the path vertices only, so types of support above the
-# oracle's COUNT_CAP, with many cycles, are cached too; their entries are
-# checked on load by graded degree alone.
+# most path vertices |nu| + l(nu) of one type, a limit kept from the Moebius
+# loop over their Bell(P) set partitions (the arc count visits Bell(l(nu)),
+# l(nu) <= 6).  Read at each call, so a test can lower it.  Types of support
+# above the oracle's COUNT_CAP, with many cycles, pass it and are cached;
+# their entries are checked on load by graded degree alone.
 BELL_CAP = 12
 
 
@@ -62,24 +62,8 @@ def c_poly(t: CyclePathType) -> Poly:
     return out
 
 
-def unrestricted_count_poly(t: CyclePathType) -> Poly:
-    """Count of arbitrary edge-respecting functions (no injectivity at all):
-    a path is determined by any starting point (factor n), and a c-cycle
-    needs a point with pi^c(x) = x (factor sum over i dividing c of i*m_i)."""
-    out = Poly.const(1)
-    for c in t.cycles:
-        factor = Poly()
-        for i in range(1, c + 1):
-            if c % i == 0:
-                factor = factor + i * mvar(i)
-        out = out * factor
-    for _ in t.paths:
-        out = out * N
-    return out
-
-
 def check_bell_cap(t: CyclePathType) -> None:
-    """A pre-flight guard on the one Bell enumeration, over the path vertices."""
+    """A pre-flight guard on the path vertices, run before any polynomial is built."""
     p = sum(t.paths) + len(t.paths)
     if p > BELL_CAP:
         raise ResourceLimitError(
@@ -136,14 +120,16 @@ class _MomentCache:
 
 
 def _read_disk(path: str) -> dict[CyclePathType, Poly]:
-    """The entries of a cache file; a missing path or an empty file is an
-    empty cache, any other path but a readable regular file is refused before
-    it is read (a FIFO opens without blocking), and so is anything but a
-    JSON object of type-key -> polynomial, or an entry that fails
-    _check_entry."""
+    """The entries of a cache file; a missing file in an existing directory or
+    an empty file is an empty cache.  Any other path but a readable regular
+    file is refused before it is read (a FIFO opens without blocking), and so
+    is anything but a JSON object of type-key -> polynomial, or an entry that
+    fails _check_entry."""
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     except FileNotFoundError:
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise MalformedInputError(f"cache file {path} is in a missing directory") from None
         return {}
     except OSError as exc:
         raise MalformedInputError(f"cache file {path} cannot be opened: {exc.strerror}") from None
@@ -201,7 +187,7 @@ def indicator_moment(t: CyclePathType) -> Poly:
 
 
 def _compute(t: CyclePathType) -> Poly:
-    path_factor = mobius_count_poly(CyclePathType((), t.paths).representative())
+    path_factor = path_count_poly(t.paths)
     # the paths avoid the |mu| points and the a_c cycles the pattern's cycles took
     shift = {0: N - sum(t.cycles)}
     for c, a in Counter(t.cycles).items():
@@ -226,19 +212,46 @@ def _cycle_factor(cycles: tuple[int, ...]) -> Poly:
     return out
 
 
-def mobius_count_poly(p: PartialPermutation) -> Poly:
-    """Compatible injections of the packed partial permutation p, by Moebius
-    inversion over every set partition of its support."""
-    # g(identity) = sum over rho of mu(0,rho) * F(rho), where F(rho) counts
-    # edge-respecting functions constant on the blocks of rho, i.e. the
-    # unrestricted count of the closure quotient
-    weights: Counter[CyclePathType] = Counter()
-    for rho in set_partitions(len(p.support)):
-        weights[contract(p, rho)] += mobius_lower(rho)
-    poly = Poly()
-    for t, weight in weights.items():
-        poly = poly + weight * unrestricted_count_poly(t)
-    return poly
+def path_count_poly(paths: tuple[int, ...]) -> Poly:
+    """f_{(0,nu)}: a sum over the set partitions of the paths, grouped by the
+    cycle they share, of the product of the blocks' weights."""
+    points = [length + 1 for length in paths]
+    weight = cache(_block_weight)  # blocks of equal point counts share one
+    out = Poly()
+    for sigma in set_partitions(len(points)):
+        blocks = (tuple(sorted(points[i - 1] for i in block)) for block in sigma)
+        out = out + prod(map(weight, blocks), start=ONE)
+    return out
+
+
+def _block_weight(sizes: tuple[int, ...]) -> Poly:
+    """W(B) = sum over the permutation's cycles of g_B(c).  For c >= S, g_B
+    has degree at most |B| in c, so g_B(c) = alpha*c at c = S, ..., S + |B|
+    proves it there; the cycles shorter than S are counted length by length."""
+    s = sum(sizes)
+    alpha = Fraction(_connected(sizes, s), s)
+    if any(_connected(sizes, c) != alpha * c for c in range(s + 1, s + len(sizes) + 1)):
+        raise InternalConsistencyError(
+            f"arc count of paths {list(sizes)} (points each) is not linear in c >= {s}")
+    shorter = ((_connected(sizes, i) - alpha * i) * mvar(i) for i in range(1, s))
+    return alpha * N + sum(shorter, ZERO)
+
+
+def _connected(sizes: tuple[int, ...], c: int) -> int:
+    """g_B(c), from A_B = sum over the G that hold B's first arc of g_G * A_{B-G}."""
+    out, first, rest = _arcs(sizes, c), sizes[:1], sizes[1:]
+    for r in range(len(rest)):  # G is the first arc and r others, never all of B
+        for held in combinations(range(len(rest)), r):
+            left = tuple(x for j, x in enumerate(rest) if j not in held)
+            out -= _connected(first + tuple(rest[j] for j in held), c) * _arcs(left, c)
+    return out
+
+
+def _arcs(sizes: tuple[int, ...], c: int) -> int:
+    """Ways to lay arcs of these point counts, S in all, disjointly on a
+    c-cycle: c (c-S+1) ... (c-S+|B|-1) when c >= S, and 0 otherwise."""
+    s = sum(sizes)
+    return c * perm(c - s + len(sizes) - 1, len(sizes) - 1) if c >= s else 0
 
 
 def indicator_expectation(p: PartialPermutation, lam) -> Fraction:

@@ -1,4 +1,4 @@
-"""Set partitions of [m] as tuples of blocks, with lower Moebius values.
+"""Set partitions of [m] as tuples of blocks, and the Bell numbers.
 
 A partition is a tuple of blocks: each block is an increasing tuple, and the
 blocks are ordered by their least element.  Enumeration follows the
@@ -9,7 +9,6 @@ with the index of its block), so it is deterministic.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
 
 
 def set_partitions(m: int):
@@ -31,18 +30,6 @@ def set_partitions(m: int):
         blocks.pop()
 
     yield from place(1)
-
-
-def mobius_lower(blocks) -> int:
-    """mu(0_m, rho) = (-1)^(m - #blocks) * prod (|block| - 1)! for the
-    partition rho of [m] with these blocks."""
-    val = 1
-    for block in blocks:
-        val *= factorial(len(block) - 1)
-        # m - #blocks is the sum of |block| - 1, odd once per even block
-        if len(block) % 2 == 0:
-            val = -val
-    return val
 
 
 @lru_cache(maxsize=None)

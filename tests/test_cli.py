@@ -710,6 +710,19 @@ class TestDiskCache:
         assert f"cache file {path} is not a regular file" in err
         assert list(tmp_path.iterdir()) == [path] and list(path.iterdir()) == []
 
+    def test_missing_directory_refused_before_computing(self, tmp_path, capsys, monkeypatch,
+                                                         fresh_cache):
+        # was read as a missing file and then never written: exit 0, no cache
+        def no_compute(t):
+            raise AssertionError("a polynomial was computed")
+
+        monkeypatch.setattr(indicator, "_compute", no_compute)
+        path = tmp_path / "missing" / "cache.json"
+        code, out, err = run(capsys, "moment", "exc", "--cache", str(path))
+        assert (code, out) == (2, "")
+        assert f"cache file {path} is in a missing directory" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_fifo_refused_without_blocking(self, tmp_path):
         # opened for reading, a FIFO with no writer blocks forever, so the
         # run is made in a child with a timeout

@@ -15,13 +15,16 @@ values constrained together, a run of three forced adjacencies, and a
 translate whose support exceeds n at the evaluated class.  The fourth group,
 recorded at commit 2774fbe, pins the deepest moments whose last factor is
 streamed into type sums: the fourth moments of exc and cyc2, a path type of
-N(123), and `verify` of moments up to order 3.
+N(123), and `verify` of moments up to order 3.  The fifth group, recorded at
+commit 215af82, pins the path factors of the arc count: the fifth moment of
+exc and the path types of N(1234), up to 9 path vertices.
 """
 
 import hashlib
 
 import pytest
 
+from cycstat import indicator
 from cycstat.cli import main
 
 GOLDEN = [
@@ -197,6 +200,15 @@ GOLDEN = [
      "52b46e7dcdfc8a0b147b28320bebaba0fb11785991bb20a300dba1065d9ea181"),
     (("verify", "exc", "--nmax", "4", "-d", "3", "--json"), 0,
      "f3c9766d3edb93909b4cdca488f2e78e4036505d6ec361b0393ba137df226284"),
+    # recorded at 215af82
+    (("moment", "exc", "-d", "5"), 0,
+     "9cda1debd2defb7d53433fe92ab8f160eaf110461ac66d6f7b88ac1b8ba3d088"),
+    (("moment", "exc", "-d", "5", "--json"), 0,
+     "a2c6c88b8bf98e803b3d350a53baad6b38e0dfebcbd2eabd7cae55c0156e4dc4"),
+    (("moment", "N(1234)", "-d", "1"), 0,
+     "159a5ab8acd90a9a6ed927be1c5ef377e08379d7fabc92afe225ae21f556ddff"),
+    (("moment", "N(1234)", "-d", "1", "--json"), 0,
+     "670d417d564b5e3ffc5d169aa3f7deb88c4a2a48d2bfd8d1b6c05e3d7e2f4760"),
 ]
 
 
@@ -207,3 +219,15 @@ def test_golden_output(capsys, argv, code, digest):
     assert main(list(argv)) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_golden_output_without_contract(capsys, monkeypatch):
+    # the path factors come from the arc count, which contracts no pattern
+    def refuse(*args):
+        raise AssertionError("contract called")
+
+    monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+    monkeypatch.setattr(indicator, "contract", refuse)
+    argv, code, digest = GOLDEN[4]
+    assert argv == ("moment", "exc", "-d", "3")
+    test_golden_output(capsys, argv, code, digest)

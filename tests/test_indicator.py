@@ -1,9 +1,17 @@
-"""Indicator moment polynomials f_(mu,nu) and their oracle certification."""
+"""Indicator moment polynomials f_(mu,nu) and their oracle certification.
+
+The reference for the path factor is the Moebius inversion the engine used
+before the arc count: classifying arbitrary edge-respecting functions by their
+coincidence partition, the injective ones are the alternating sum, over every
+set partition of the support, of the unrestricted counts of the contraction
+quotients."""
 
 import errno
 import json
 import os
+from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -13,20 +21,89 @@ from cycstat.errors import (
     MalformedInputError,
     ResourceLimitError,
 )
+from cycstat.cli import main
 from cycstat.indicator import (
     c_poly,
     indicator_expectation,
     indicator_moment,
-    mobius_count_poly,
-    unrestricted_count_poly,
+    path_count_poly,
 )
 from cycstat.contraction import contract
 from cycstat.oracle import injection_count, compatible_function_count, partitions
 from cycstat.partial import CyclePathType, PartialPermutation
 from cycstat.poly import N, ONE, Poly, mvar, to_json_dict
-from cycstat.setpartitions import mobius_lower, set_partitions
+from cycstat.setpartitions import set_partitions
 
 from conftest import all_cycle_path_types
+
+
+def mobius_lower(blocks) -> int:
+    """mu(0_m, rho) = (-1)^(m - #blocks) * prod (|block| - 1)! for the
+    partition rho of [m] with these blocks."""
+    val = 1
+    for block in blocks:
+        val *= factorial(len(block) - 1)
+        # m - #blocks is the sum of |block| - 1, odd once per even block
+        if len(block) % 2 == 0:
+            val = -val
+    return val
+
+
+def unrestricted_count_poly(t: CyclePathType) -> Poly:
+    """Count of arbitrary edge-respecting functions (no injectivity at all):
+    a path is determined by any starting point (factor n), and a c-cycle
+    needs a point with pi^c(x) = x (factor sum over i dividing c of i*m_i)."""
+    out = Poly.const(1)
+    for c in t.cycles:
+        factor = Poly()
+        for i in range(1, c + 1):
+            if c % i == 0:
+                factor = factor + i * mvar(i)
+        out = out * factor
+    for _ in t.paths:
+        out = out * N
+    return out
+
+
+def mobius_count_poly(p: PartialPermutation) -> Poly:
+    """Compatible injections of the packed partial permutation p, by Moebius
+    inversion over every set partition of its support; the Moebius values
+    are added per quotient type, and each type's count is built once."""
+    weights: Counter[CyclePathType] = Counter()
+    for rho in set_partitions(len(p.support)):
+        weights[contract(p, rho)] += mobius_lower(rho)
+    poly = Poly()
+    for t, weight in weights.items():
+        poly = poly + weight * unrestricted_count_poly(t)
+    return poly
+
+
+def path_only_types(max_vertices: int) -> list[CyclePathType]:
+    """Every path-only type with at most this many path vertices |nu| + l(nu)."""
+    return [
+        CyclePathType((), nu)
+        for k in range(1, max_vertices)
+        for nu in partitions(k)
+        if k + len(nu) <= max_vertices
+    ]
+
+
+class TestMobius:
+    def test_singletons_is_one(self):
+        assert mobius_lower(((1,), (2,), (3,), (4,), (5,))) == 1
+
+    def test_atom_is_minus_one(self):
+        assert mobius_lower(((1, 2), (3,), (4,))) == -1
+
+    def test_single_block_of_four(self):
+        # (-1)^3 * 3! = -6; agrees with recursive Moebius computation on
+        # the lattice of partitions of [4] (sum over the interval is 0)
+        assert mobius_lower(((1, 2, 3, 4),)) == -6
+
+    def test_alternating_sum_vanishes(self):
+        # sum over rho of mu(0,rho) = 0 for m >= 2 (Moebius recursion at 1)
+        for m in range(2, 6):
+            assert sum(mobius_lower(p) for p in set_partitions(m)) == 0
 
 
 class TestCPoly:
@@ -123,30 +200,22 @@ class TestIndicatorMoment:
 
 class TestMobiusCountPoly:
     def test_matches_sum_over_partitions(self):
-        # every path-only type with at most 7 path vertices, against the
-        # reference that adds one term per set partition
-        types = [
-            t for t in all_cycle_path_types(6) if not t.cycles and t.support_size <= 7
-        ]
-        assert len(types) == 14
+        # every path-only type with at most 8 path vertices: the arc count
+        # against the Moebius sum over the set partitions of its points
+        types = path_only_types(8)
+        assert len(types) == 21
         for t in types:
-            p = t.representative()
-            expected = Poly()
-            for rho in set_partitions(len(p.support)):
-                expected = expected + Fraction(mobius_lower(rho)) * unrestricted_count_poly(
-                    contract(p, rho)
-                )
-            assert mobius_count_poly(p) == expected, t.key
+            assert path_count_poly(t.paths) == mobius_count_poly(t.representative()), t.key
 
     def test_one_unrestricted_count_per_quotient_type(self, monkeypatch):
         calls = []
-        original = indicator.unrestricted_count_poly
+        original = unrestricted_count_poly
 
         def counting(t):
             calls.append(t)
             return original(t)
 
-        monkeypatch.setattr(indicator, "unrestricted_count_poly", counting)
+        monkeypatch.setitem(globals(), "unrestricted_count_poly", counting)
         p = CyclePathType((), (2, 1, 1)).representative()
         mobius_count_poly(p)
         quotients = {contract(p, rho) for rho in set_partitions(len(p.support))}
@@ -154,9 +223,52 @@ class TestMobiusCountPoly:
         assert set(calls) == quotients
 
 
+class TestArcCount:
+    """The path factor by arc placement, proved on the oracle's grid and
+    guarded by its linearity certificate."""
+
+    def test_path_types_proved_on_the_unisolvent_grid(self):
+        # a polynomial of graded degree k is fixed by its values on every
+        # class with n <= 2k, so agreeing there proves the type
+        from cycstat.expectation import evaluation_point
+
+        types = [t for t in path_only_types(12) if t.size <= 6]
+        assert len(types) == 29
+        for t in types:
+            poly, rep = path_count_poly(t.paths), t.representative()
+            for n in range(2 * t.size + 1):
+                for lam in partitions(n):
+                    assert poly.evaluate(evaluation_point(lam)) == \
+                        injection_count(rep, lam), (t.key, lam)
+
+    def test_one_block_weight_per_point_counts(self, monkeypatch):
+        calls = []
+        original = indicator._block_weight
+
+        def counting(sizes):
+            calls.append(sizes)
+            return original(sizes)
+
+        monkeypatch.setattr(indicator, "_block_weight", counting)
+        path_count_poly((1, 1, 1, 2))
+        # the blocks' sorted point counts: 2, 3, 2+2, 2+3, 2+2+2, 2+2+3, 2+2+2+3
+        assert sorted(calls) == sorted(set(calls)) and len(calls) == 7
+
+    def test_broken_arc_count_exits_4(self, capsys, monkeypatch):
+        # without its factor c the count of one arc is 1 on every long
+        # enough cycle, which is not linear in c
+        original = indicator._arcs
+        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        monkeypatch.setattr(indicator, "_arcs", lambda sizes, c: original(sizes, c) // c)
+        assert main(["moment", "exc"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "arc count of paths [2]" in captured.err
+
+
 class TestCycleFactorisation:
-    """Only the path vertices go through the Moebius inversion; the cycles
-    enter as a closed-form factor."""
+    """Only the paths go through the arc count; the cycles enter as a
+    closed-form factor."""
 
     @pytest.fixture
     def fresh_cache(self, monkeypatch):
@@ -210,8 +322,9 @@ class TestCycleFactorisation:
         assert poly == expected
 
     def test_mixed_type_partitions_only_path_support(self, partition_sizes):
+        # one path: the set partitions of the paths, not of its 3 points
         indicator_moment(CyclePathType((3, 2, 2), (2,)))
-        assert partition_sizes == [3]
+        assert partition_sizes == [1]
 
     def test_wrong_cycle_factor_fails_certificate(self, fresh_cache, monkeypatch):
         monkeypatch.setattr(indicator, "_cycle_factor", lambda cycles: Poly.const(1))

@@ -1,6 +1,6 @@
-"""Set partitions: enumeration as block tuples, lower Moebius values."""
+"""Set partitions: enumeration as block tuples, and the Bell numbers."""
 
-from cycstat.setpartitions import bell_number, mobius_lower, set_partitions
+from cycstat.setpartitions import bell_number, set_partitions
 
 
 def _partitions_by_rgs(m):
@@ -45,20 +45,3 @@ class TestEnumeration:
         assert [bell_number(m) for m in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
         assert bell_number(12) == 4213597
 
-
-class TestMobius:
-    def test_singletons_is_one(self):
-        assert mobius_lower(((1,), (2,), (3,), (4,), (5,))) == 1
-
-    def test_atom_is_minus_one(self):
-        assert mobius_lower(((1, 2), (3,), (4,))) == -1
-
-    def test_single_block_of_four(self):
-        # (-1)^3 * 3! = -6; agrees with recursive Moebius computation on
-        # the lattice of partitions of [4] (sum over the interval is 0)
-        assert mobius_lower(((1, 2, 3, 4),)) == -6
-
-    def test_alternating_sum_vanishes(self):
-        # sum over rho of mu(0,rho) = 0 for m >= 2 (Moebius recursion at 1)
-        for m in range(2, 6):
-            assert sum(mobius_lower(p) for p in set_partitions(m)) == 0
