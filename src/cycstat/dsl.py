@@ -1,14 +1,17 @@
-"""Text grammar for statistics.
+"""Text grammar for statistics and their weights: one arithmetic grammar,
 
-    stat     := term ("+" term | "-" term)*
-    term     := rational "*" term | rational | factor
-    factor   := atom ("^" int)*
-    atom     := builtin | "N(" word [";A=" intset] ")"
-              | "biv(" word ";A=" intset ";B=" intset ";f=" poly ";g=" poly ")"
-              | "T(U=" inttuple ";V=" inttuple ";C=" intset ";f=" poly ")"
-    builtin  := "exc" | "des" | "maj" | "inv" | "fix" | "cyc2"
-    poly     := arithmetic in x1..xm with rationals and + - * ^
+    sum     := product (("+" | "-") product)*
+    product := power ("*" power)*
+    power   := "-" power | ("(" sum ")" | int ["/" int] | atom) ("^" int)*
 
+over two sets of atoms.  A statistic's exponents are >= 1 and its atoms
+
+    atom    := builtin | "N(" word [";A=" intset] ")"
+             | "biv(" word ";A=" intset ";B=" intset ";f=" weight ";g=" weight ")"
+             | "T(U=" inttuple ";V=" inttuple ";C=" intset ";f=" weight ")"
+    builtin := "exc" | "des" | "maj" | "inv" | "fix" | "cyc2"
+
+A weight's exponents are >= 0 and its atoms the variables x1, x2, ....
 Errors carry the offending position and what was expected.
 """
 
@@ -71,9 +74,9 @@ class _Tokens:
 def parse_statistic(text: str) -> RegularStatistic:
     toks = _Tokens(text)
     try:
-        stat = _parse_stat(toks)
+        stat = _STATISTIC.parse(toks)
     except RecursionError:
-        # the grammar is parsed by recursive descent, one frame per level
+        # the grammar is parsed by recursive descent, three frames per level
         raise ResourceLimitError("expression nested too deeply") from None
     tok = toks.peek()
     if tok[0] != "EOF":
@@ -81,35 +84,70 @@ def parse_statistic(text: str) -> RegularStatistic:
     return stat
 
 
-def _parse_stat(toks: _Tokens) -> RegularStatistic:
-    out = _parse_term(toks)
+class _Domain:
+    """What the arithmetic grammar needs of the values it builds: its atoms,
+    read from the tokens; a number as one of its values; and its power rule,
+    which reads the exponent after '^'.  A number stays a Fraction until a
+    sum or a power meets it, so a number times a value is a scaling."""
+
+    def __init__(self, atom, number, power):
+        self.atom, self.number, self.power = atom, number, power
+
+    def lift(self, value):
+        return self.number(value) if isinstance(value, Fraction) else value
+
+    def parse(self, toks: _Tokens):
+        return self.lift(_sum(toks, self))
+
+
+def _sum(toks: _Tokens, dom: _Domain):
+    out = _product(toks, dom)
     while toks.peek()[0] in ("+", "-"):
         op = toks.next()[0]
-        term = _parse_term(toks)
+        out, term = dom.lift(out), dom.lift(_product(toks, dom))
         out = out + term if op == "+" else out - term
     return out
 
 
-def _parse_term(toks: _Tokens) -> RegularStatistic:
-    if toks.peek()[0] in ("INT", "-"):
-        coef = _parse_rational(toks)
-        if toks.peek()[0] == "*":
+def _product(toks: _Tokens, dom: _Domain):
+    out = _power(toks, dom)
+    while toks.peek()[0] == "*":
+        toks.next()
+        out = out * _power(toks, dom)
+    return out
+
+
+def _power(toks: _Tokens, dom: _Domain):
+    tok = toks.peek()
+    if tok[0] == "-":
+        toks.next()
+        return -1 * _power(toks, dom)
+    if tok[0] == "(":
+        toks.next()
+        out = _sum(toks, dom)
+        toks.expect(")")
+    elif tok[0] == "INT":
+        toks.next()
+        out = Fraction(tok[3])
+        if toks.peek()[0] == "/":
             toks.next()
-            return coef * _parse_term(toks)
-        return RegularStatistic.constant(coef)
-    return _parse_factor(toks)
-
-
-def _parse_factor(toks: _Tokens) -> RegularStatistic:
-    out = _parse_atom(toks)
+            den = toks.expect("INT", "a denominator")
+            if den[3] == 0:
+                raise ParseError(den[2], "a nonzero denominator", "0")
+            out /= den[3]
+    else:
+        out = dom.atom(toks)
     while toks.peek()[0] == "^":
         toks.next()
-        tok = toks.expect("INT", "a positive integer exponent")
-        d = tok[3]
-        if d < 1:
-            raise ParseError(tok[2], "an exponent >= 1", tok[1])
-        out = out**d
+        out = dom.power(toks, dom.lift(out))
     return out
+
+
+def _statistic_power(toks: _Tokens, base: RegularStatistic) -> RegularStatistic:
+    tok = toks.expect("INT", "a positive integer exponent")
+    if tok[3] < 1:
+        raise ParseError(tok[2], "an exponent >= 1", tok[1])
+    return base ** tok[3]
 
 
 def _parse_atom(toks: _Tokens) -> RegularStatistic:
@@ -120,18 +158,15 @@ def _parse_atom(toks: _Tokens) -> RegularStatistic:
     if name in BUILTINS:
         toks.next()
         return builtin(name)
-    if name == "N":
-        return _parse_pattern(toks)
-    if name == "biv":
-        return _parse_bivincular(toks)
-    if name == "T":
-        return _parse_translate(toks)
-    raise ParseError(tok[2], "one of " + ", ".join(sorted(BUILTINS)) + ", N, biv, T", name)
+    parse = _COMPOUNDS.get(name)
+    if parse is None:
+        raise ParseError(tok[2], "one of " + ", ".join(sorted(BUILTINS)) + ", N, biv, T", name)
+    toks.next()
+    toks.expect("(")
+    return parse(toks)
 
 
 def _parse_pattern(toks: _Tokens) -> RegularStatistic:
-    toks.expect("NAME")
-    toks.expect("(")
     word = toks.expect("INT", "a pattern word like 132")[1]
     A: tuple[int, ...] = ()
     if toks.peek()[0] == ";":
@@ -142,31 +177,27 @@ def _parse_pattern(toks: _Tokens) -> RegularStatistic:
 
 
 def _parse_bivincular(toks: _Tokens) -> RegularStatistic:
-    toks.expect("NAME")
-    toks.expect("(")
     word = toks.expect("INT", "a pattern word like 21")[1]
     toks.expect(";")
     A = _field(toks, "A", _parse_intset)
     toks.expect(";")
     B = _field(toks, "B", _parse_intset)
     toks.expect(";")
-    f = _field(toks, "f", _parse_poly)
+    f = _field(toks, "f", _WEIGHT.parse)
     toks.expect(";")
-    g = _field(toks, "g", _parse_poly)
+    g = _field(toks, "g", _WEIGHT.parse)
     toks.expect(")")
     return compile_bivincular(BivincularPattern(word, frozenset(A), frozenset(B), f, g))
 
 
 def _parse_translate(toks: _Tokens) -> RegularStatistic:
-    toks.expect("NAME")
-    toks.expect("(")
     U = _field(toks, "U", _parse_inttuple)
     toks.expect(";")
     V = _field(toks, "V", _parse_inttuple)
     toks.expect(";")
     C = _field(toks, "C", _parse_intset)
     toks.expect(";")
-    f = _field(toks, "f", _parse_poly)
+    f = _field(toks, "f", _WEIGHT.parse)
     toks.expect(")")
     translate = ConstrainedTranslate(PartialPermutation(U, V), frozenset(C), f)
     return RegularStatistic((translate,))
@@ -180,23 +211,6 @@ def _field(toks: _Tokens, name: str, parse):
     toks.next()
     toks.expect("=")
     return parse(toks)
-
-
-def _parse_rational(toks: _Tokens) -> Fraction:
-    sign = 1
-    if toks.peek()[0] == "-":
-        toks.next()
-        sign = -1
-    tok = toks.expect("INT", "a number")
-    num = tok[3]
-    if toks.peek()[0] == "/":
-        toks.next()
-        den_tok = toks.expect("INT", "a denominator")
-        den = den_tok[3]
-        if den == 0:
-            raise ParseError(den_tok[2], "a nonzero denominator", "0")
-        return Fraction(sign * num, den)
-    return Fraction(sign * num)
 
 
 def _parse_intlist(toks: _Tokens, close: str) -> tuple[int, ...]:
@@ -223,54 +237,23 @@ def _parse_inttuple(toks: _Tokens) -> tuple[int, ...]:
 # -- weight polynomials ------------------------------------------------
 
 
-def _parse_poly(toks: _Tokens) -> Poly:
-    out = _parse_poly_term(toks)
-    while toks.peek()[0] in ("+", "-"):
-        op = toks.next()[0]
-        term = _parse_poly_term(toks)
-        out = out + term if op == "+" else out - term
-    return out
+def _weight_power(toks: _Tokens, base: Poly) -> Poly:
+    tok = toks.expect("INT", "a nonnegative exponent")
+    e = tok[3]
+    # a weight with this factor has degree at least deg * e, unless it
+    # cancels to zero, and its constrained sum one more, above the cap
+    # of sums; a power of several terms takes minutes to expand, a
+    # monomial's no time, so only the former is refused here
+    if len(base.terms) > 1 and base.total_degree() * e > MAX_SUM_DEGREE:
+        raise ResourceLimitError(
+            f"weight power of degree {base.total_degree() * e} makes a "
+            f"constrained sum above the cap {MAX_SUM_DEGREE}"
+        )
+    return base**e
 
 
-def _parse_poly_term(toks: _Tokens) -> Poly:
-    out = _parse_poly_factor(toks)
-    while toks.peek()[0] == "*":
-        toks.next()
-        out = out * _parse_poly_factor(toks)
-    return out
-
-
-def _parse_poly_factor(toks: _Tokens) -> Poly:
-    out = _parse_poly_atom(toks)
-    if toks.peek()[0] == "^":
-        toks.next()
-        tok = toks.expect("INT", "a nonnegative exponent")
-        e = tok[3]
-        # a weight with this factor has degree at least deg * e, unless it
-        # cancels to zero, and its constrained sum one more, above the cap
-        # of sums; a power of several terms takes minutes to expand, a
-        # monomial's no time, so only the former is refused here
-        if len(out.terms) > 1 and out.total_degree() * e > MAX_SUM_DEGREE:
-            raise ResourceLimitError(
-                f"weight power of degree {out.total_degree() * e} makes a "
-                f"constrained sum above the cap {MAX_SUM_DEGREE}"
-            )
-        out = out**e
-    return out
-
-
-def _parse_poly_atom(toks: _Tokens) -> Poly:
+def _parse_variable(toks: _Tokens) -> Poly:
     tok = toks.peek()
-    if tok[0] == "(":
-        toks.next()
-        out = _parse_poly(toks)
-        toks.expect(")")
-        return out
-    if tok[0] == "-":
-        toks.next()
-        return -_parse_poly_factor(toks)
-    if tok[0] == "INT":
-        return Poly.const(_parse_rational(toks))
     match = _WEIGHT_VARIABLE.fullmatch(tok[1]) if tok[0] == "NAME" else None
     if match:
         toks.next()
@@ -284,3 +267,8 @@ def _parse_poly_atom(toks: _Tokens) -> Poly:
             raise ParseError(tok[2], "a variable x1, x2, ...", tok[1])
         return Poly.variable(index - 1)
     raise ParseError(tok[2], "a number, variable or '('", tok[1])
+
+
+_COMPOUNDS = {"N": _parse_pattern, "biv": _parse_bivincular, "T": _parse_translate}
+_STATISTIC = _Domain(_parse_atom, RegularStatistic.constant, _statistic_power)
+_WEIGHT = _Domain(_parse_variable, Poly.const, _weight_power)

@@ -147,6 +147,14 @@ class TestMoment:
     def test_zero_and_constant_statistics(self, capsys, argv, expected):
         assert run(capsys, *argv) == (0, expected, "")
 
+    def test_leading_minus_follows_double_dash(self, capsys):
+        # argparse reads an argument that begins with '-' as an option
+        with pytest.raises(SystemExit) as exc:
+            main(["moment", "-2*des"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, "moment", "--", "-2*des") == run(capsys, "moment", "0 - 2*des")
+
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "moment", "exc", "-d", "1", "--json", "--lambda", "3")
         assert code == 0
@@ -420,17 +428,27 @@ class TestExitCodes:
         assert f"above the cap {sums.MAX_SUM_DEGREE}" in err
 
     @pytest.mark.parametrize("expr", [
-        "biv(1;A={};B={};f=" + "(" * 250 + "x1" + ")" * 250 + ";g=1)",
-        "2*" * 1000 + "exc",
-        "1*" * 3000 + "exc",
-    ], ids=["nested-weight", "long-product", "long-unit-product"])
+        "biv(1;A={};B={};f=" + "(" * 2000 + "x1" + ")" * 2000 + ";g=1)",
+        "(" * 2000 + "exc" + ")" * 2000,
+    ], ids=["nested-weight", "nested-statistic"])
     def test_deep_nesting_is_a_resource_limit(self, expr):
-        # the parser descends one Python frame or more per level
+        # the parser descends three Python frames per level of parentheses
         done = run_process("moment", expr, timeout=30)
         assert done.returncode == 3
         assert done.stdout == ""
         assert "Traceback" not in done.stderr
         assert "nested too deeply" in done.stderr
+
+    @pytest.mark.parametrize("expr, mean", [
+        ("2*" * 1000 + "exc", f"{2**999}*n - {2**999}*m1"),
+        ("1*" * 3000 + "exc", "(n - m1) / 2"),
+    ], ids=["long-product", "long-unit-product"])
+    def test_long_product_is_a_loop(self, expr, mean):
+        # a product is read by a loop, not by one frame per factor: E[exc] is
+        # (n - m1) / 2, scaled by the factors
+        done = run_process("moment", expr, timeout=30)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == f"moment d=1: {mean}\ngraded degree 1 (bound 1)\n"
 
     @pytest.mark.parametrize("expr, code, message", [
         ("exc^\u00b2", 2, "expected a token, found '\u00b2'"),

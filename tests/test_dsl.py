@@ -5,9 +5,10 @@ from itertools import permutations
 
 import pytest
 
+from cycstat import translates
 from cycstat.dsl import parse_statistic
 from cycstat.errors import ParseError, ResourceLimitError
-from cycstat.oracle import descent_count, excedance_count, major_index
+from cycstat.oracle import descent_count, excedance_count, fixed_point_count, major_index
 from cycstat.patterns import des, exc, maj
 
 
@@ -82,6 +83,41 @@ class TestArithmetic:
     def test_constant_statistic(self):
         assert parse_statistic("3").evaluate((2, 1)) == 3
         assert parse_statistic("1/3").evaluate((1,)) == Fraction(1, 3)
+
+    @pytest.mark.parametrize("text, value", [
+        ("exc*des", lambda w: excedance_count(w) * descent_count(w)),
+        ("(exc + fix)^2", lambda w: (excedance_count(w) + fixed_point_count(w)) ** 2),
+        ("exc*2 - -exc", lambda w: 3 * excedance_count(w)),
+        ("(maj - exc)*exc^2", lambda w: (major_index(w) - excedance_count(w))
+         * excedance_count(w) ** 2),
+        ("2^2*(1 + 1/2)", lambda w: 6),
+    ])
+    def test_products_and_parentheses(self, text, value):
+        s = parse_statistic(text)
+        for w in permutations(range(1, 5)):
+            assert s.evaluate(w) == value(w)
+
+    def test_number_times_statistic_scales_its_weights(self, monkeypatch):
+        # a number folds into the weights: no product of translates is built
+        def refuse(*args):
+            raise AssertionError("product built")
+
+        expected = parse_statistic("6*exc")
+        monkeypatch.setattr(translates, "_product", refuse)
+        for text in ("2*3*exc", "exc*6", "2*exc*3", "(6)*exc", "-(-6*exc)"):
+            assert parse_statistic(text) == expected
+        assert parse_statistic("1/2*N(12)") == Fraction(1, 2) * parse_statistic("N(12)")
+
+    @pytest.mark.parametrize("weight, expected", [
+        ("x1^2^3", "x1^6"),
+        ("-x1^2^2", "-x1^4"),
+        ("-(x1^2)^2", "-x1^4"),
+        ("(-x1^2)^2", "x1^4"),
+    ])
+    def test_powers_of_weights(self, weight, expected):
+        # powers group to the left and bind tighter than unary minus
+        assert parse_statistic(f"T(U=(1);V=(1);C={{}};f={weight})") == parse_statistic(
+            f"T(U=(1);V=(1);C={{}};f={expected})")
 
 
 class TestErrors:
