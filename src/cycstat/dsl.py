@@ -80,7 +80,7 @@ def parse_statistic(text: str) -> RegularStatistic:
         raise ResourceLimitError("expression nested too deeply") from None
     tok = toks.peek()
     if tok[0] != "EOF":
-        raise ParseError(tok[2], "end of input or '+'", tok[1])
+        raise ParseError(tok[2], "end of input, '+', '-', '*' or '^'", tok[1])
     return stat
 
 
@@ -153,7 +153,8 @@ def _statistic_power(toks: _Tokens, base: RegularStatistic) -> RegularStatistic:
 def _parse_atom(toks: _Tokens) -> RegularStatistic:
     tok = toks.peek()
     if tok[0] != "NAME":
-        raise ParseError(tok[2], "a statistic name, 'N', 'biv' or 'T'", tok[1])
+        raise ParseError(tok[2], "a statistic name, 'N', 'biv', 'T', a number, '-' or '('",
+                         tok[1])
     name = tok[1]
     if name in BUILTINS:
         toks.next()

@@ -15,6 +15,10 @@ The path factor f_{(0,nu)} lays each path, of s = l + 1 points, as an arc of
 s consecutive points on a cycle of the permutation, disjoint from the other
 arcs: a sum over the set partitions of the paths (grouped by the cycle they
 share) of products of block weights, each certified linear in the cycle length.
+
+Every polynomial is computed here, under both certificates: an entry of a
+--cache file is accepted only when it is the serialized recomputation of its
+type, so the file saves no work and is never trusted.
 """
 
 from __future__ import annotations
@@ -34,16 +38,14 @@ from math import perm, prod
 from .contraction import contract
 from .errors import InternalConsistencyError, MalformedInputError, ResourceLimitError
 from .expectation import evaluation_point
-from .oracle import COUNT_CAP, injection_count
 from .partial import CyclePathType, PartialPermutation
-from .poly import N, ONE, ZERO, Poly, from_json_dict, mvar, to_json_dict
+from .poly import N, ONE, ZERO, Poly, mvar, to_json_dict
 from .setpartitions import bell_number, set_partitions
 
 # most path vertices |nu| + l(nu) of one type, a limit kept from the Moebius
 # loop over their Bell(P) set partitions (the arc count visits Bell(l(nu)),
-# l(nu) <= 6).  Read at each call, so a test can lower it.  Types of support
-# above the oracle's COUNT_CAP, with many cycles, pass it and are cached;
-# their entries are checked on load by graded degree alone.
+# l(nu) <= 6).  Read at each call, so a test can lower it.  A --cache entry
+# of a type above it exits 3 on load, as the type does when it is asked for.
 BELL_CAP = 12
 
 
@@ -120,11 +122,12 @@ class _MomentCache:
 
 
 def _read_disk(path: str) -> dict[CyclePathType, Poly]:
-    """The entries of a cache file; a missing file in an existing directory or
-    an empty file is an empty cache.  Any other path but a readable regular
-    file is refused before it is read (a FIFO opens without blocking), and so
-    is anything but a JSON object of type-key -> polynomial, or an entry that
-    fails _check_entry."""
+    """The entries of a cache file, each recomputed; a missing file in an
+    existing directory or an empty file is an empty cache.  Any other path
+    but a readable regular file is refused before it is read (a FIFO opens
+    without blocking), and so is anything but a JSON object whose every entry
+    is to_json_dict of its type's polynomial, written as json.dumps writes it
+    (so true or 1.0 is no exponent 1)."""
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     except FileNotFoundError:
@@ -140,38 +143,23 @@ def _read_disk(path: str) -> dict[CyclePathType, Poly]:
         text = fh.read()
     if not text.strip():
         return {}
+    refused = f"cache file {path} is not a cycstat cache"
     try:
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("not a JSON object")
-        entries = {}
-        for key, poly_data in raw.items():
-            t = CyclePathType.from_key(key)
-            entries[t] = _check_entry(t, from_json_dict(poly_data, t.size))
-        return entries
-    except (ValueError, TypeError, KeyError, IndexError, AttributeError,
-            MalformedInputError) as exc:
-        raise MalformedInputError(f"cache file {path} is not a cycstat cache: {exc}") from None
-
-
-def _check_entry(t: CyclePathType, poly: Poly) -> Poly:
-    """A loaded polynomial must have graded degree k and, up to support
-    the oracle's COUNT_CAP, count the injections of t's representative
-    into an m-cycle and into the identity of S_m, as the oracle does."""
-    if poly.graded_degree() != t.size:
-        raise ValueError(f"entry {t.key} has graded degree {poly.graded_degree()}, expected {t.size}")
-    m = t.support_size
-    if m > COUNT_CAP:
-        return poly
-    rep = t.representative()
-    # the empty type's only class is the empty one
-    for lam in [(m,), (1,) * m] if m else [()]:
-        if poly.evaluate(evaluation_point(lam)) != injection_count(rep, lam):
-            raise ValueError(
-                f"entry {t.key} does not match the oracle at "
-                f"lambda=({','.join(map(str, lam))})"
-            )
-    return poly
+        written = {CyclePathType.from_key(key): json.dumps(data) for key, data in raw.items()}
+    except (ValueError, IndexError, RecursionError) as exc:
+        # MalformedInputError is a ValueError; a RecursionError is nesting
+        # deeper than json reads or writes
+        raise MalformedInputError(f"{refused}: {exc}") from None
+    entries = {}
+    for t, data in written.items():
+        check_bell_cap(t)
+        entries[t] = _compute(t)
+        if json.dumps(to_json_dict(entries[t])) != data:
+            raise MalformedInputError(f"{refused}: entry {t.key} is not the polynomial of its type")
+    return entries
 
 
 _CACHE = _MomentCache()
@@ -187,12 +175,7 @@ def indicator_moment(t: CyclePathType) -> Poly:
 
 
 def _compute(t: CyclePathType) -> Poly:
-    path_factor = path_count_poly(t.paths)
-    # the paths avoid the |mu| points and the a_c cycles the pattern's cycles took
-    shift = {0: N - sum(t.cycles)}
-    for c, a in Counter(t.cycles).items():
-        shift[c] = mvar(c) - a
-    poly = _cycle_factor(t.cycles) * path_factor.substitute(shift)
+    poly = _cycle_factor(t.cycles) * path_count_poly(t)
     k = t.size
     if poly.graded_degree() != k:
         raise InternalConsistencyError(
@@ -212,18 +195,27 @@ def _cycle_factor(cycles: tuple[int, ...]) -> Poly:
     return out
 
 
-def path_count_poly(paths: tuple[int, ...]) -> Poly:
-    """f_{(0,nu)}: a sum over the set partitions of the paths, grouped by the
-    cycle they share, of the product of the blocks' weights."""
-    points = [length + 1 for length in paths]
-    weight = cache(_block_weight)  # blocks of equal point counts share one
+def path_count_poly(t: CyclePathType) -> Poly:
+    """f_{(0,nu)}(n - |mu|, m_c - a_c): a sum over the set partitions of the
+    paths, grouped by the cycle they share, of the product of the blocks'
+    weights, each shifted off the |mu| points and the a_c cycles that t's
+    cycles take.  A weight W is linear with no constant term, so the shifted
+    weight is W - W(|mu|, a), and W reads no m_i with i at or above the
+    path points, so the point (|mu|, a_1, a_2, ...) stops below them."""
+    points = [length + 1 for length in t.paths]
+    taken = Counter(t.cycles)
+    at = (sum(t.cycles), *(taken[i] for i in range(1, sum(points))))
     out = Poly()
     for sigma in set_partitions(len(points)):
         blocks = (tuple(sorted(points[i - 1] for i in block)) for block in sigma)
-        out = out + prod(map(weight, blocks), start=ONE)
+        weights = map(_block_weight, blocks)
+        out = out + prod((w - w.evaluate(at) for w in weights), start=ONE)
     return out
 
 
+# process-wide memos, keyed by point counts and cycle lengths: both stay
+# small, since no block has more than BELL_CAP points
+@cache
 def _block_weight(sizes: tuple[int, ...]) -> Poly:
     """W(B) = sum over the permutation's cycles of g_B(c).  For c >= S, g_B
     has degree at most |B| in c, so g_B(c) = alpha*c at c = S, ..., S + |B|
@@ -237,6 +229,7 @@ def _block_weight(sizes: tuple[int, ...]) -> Poly:
     return alpha * N + sum(shorter, ZERO)
 
 
+@cache
 def _connected(sizes: tuple[int, ...], c: int) -> int:
     """g_B(c), from A_B = sum over the G that hold B's first arc of g_G * A_{B-G}."""
     out, first, rest = _arcs(sizes, c), sizes[:1], sizes[1:]

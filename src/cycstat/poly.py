@@ -151,7 +151,7 @@ class Poly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    # -- evaluation and substitution ----------------------------------
+    # -- evaluation and relabelling -----------------------------------
 
     def evaluate(self, values) -> Fraction:
         """Evaluate at values[i] for variable i (missing trailing values are 0)."""
@@ -179,21 +179,6 @@ class Poly:
                     s += term
             total += coef * s
         return Fraction(total)
-
-    def substitute(self, mapping: dict[int, "Poly"]) -> "Poly":
-        """Replace variable i by mapping[i] (a Poly); unmapped variables stay."""
-        out = Poly()
-        for exps, coef in self.terms.items():
-            term = Poly.const(coef)
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                base = mapping.get(i)
-                if base is None:
-                    base = Poly.variable(i)
-                term = term * base**e
-            out = out + term
-        return out
 
     def relabel(self, index) -> "Poly":
         """Rename variable i to variable index[i]; index is injective, so the
@@ -366,45 +351,6 @@ def to_json_dict(p: Poly, universe=ENGINE_VARS) -> dict:
         }
         terms.append({"coef": decimal(coef), "exps": exp_map})
     return {"terms": terms}
-
-
-def from_json_dict(data: dict, max_m: int) -> Poly:
-    """The engine polynomial (variables n, m1, m2, ..., m<max_m>) of
-    to_json_dict.  A coefficient in another form than _read_coefficient's,
-    an exponent that is not a nonnegative int, or a name other than n, m1,
-    m2, ..., m<max_m> raises ValueError before an exponent tuple is built."""
-    terms: dict[Exponents, Coefficient] = {}
-    for item in data["terms"]:
-        coef = _read_coefficient(item["coef"])
-        exps: dict[int, int] = {}
-        for name, e in item["exps"].items():
-            i = int(name[1:]) if name[:1] == "m" and name[1:].isdecimal() else 0
-            if name != _var_name(i, ENGINE_VARS):
-                raise ValueError(f"variable {name!r} is not n, m1, m2, ...")
-            if i > max_m:
-                raise ValueError(f"variable {name} is above m{max_m}")
-            if type(e) is not int or e < 0:
-                raise ValueError(f"exponent {e!r} of {name} is not a nonnegative int")
-            exps[i] = e
-        width = max(exps, default=-1) + 1
-        key = tuple(exps.get(i, 0) for i in range(width))
-        terms[key] = terms.get(key, 0) + coef
-    return Poly(terms)
-
-
-def _read_coefficient(c) -> Coefficient:
-    """A coefficient as to_json_dict writes it: a string p or p/q of ASCII
-    digits, p with an optional leading -, q > 0, or else a JSON int.  Any
-    other form raises ValueError before a number is built: Fraction would
-    expand a short exponent form such as "1e10000000" in full."""
-    if type(c) is int:
-        return c
-    if type(c) is str:
-        p, slash, q = c.partition("/")
-        q = q if slash else "1"
-        if all(s.isascii() and s.isdigit() for s in (p.removeprefix("-"), q)) and int(q):
-            return _lower(Fraction(int(p), int(q)))
-    raise ValueError(f"coefficient {c!r} is not p or p/q in decimal digits with q > 0")
 
 
 def integerize(p: Poly) -> tuple[Poly, int]:

@@ -456,12 +456,14 @@ class TestExitCodes:
         ("1" * 5000 + "*exc", 3, "integer literal at position 0 has 5000 digits"),
         ("exc^" + "1" * 5000, 3, "integer literal at position 4 has 5000 digits"),
         ("T(U=(1);V=(2);C={};f=x10000000)", 2, "a variable index at most 31"),
-        ("+", 2, "expected a statistic name, 'N', 'biv' or 'T', found '+'"),
+        ("+", 2, "expected a statistic name, 'N', 'biv', 'T', a number, '-' or '(', found '+'"),
+        ("-", 2, "expected a statistic name, 'N', 'biv', 'T', a number, '-' or '('"),
+        ("exc des", 2, "expected end of input, '+', '-', '*' or '^', found 'des'"),
         ("T(U=(1);V=(2);C={};f=x0)", 2, "expected a variable x1, x2, ..., found 'x0'"),
         ("biv(12;A={};B={};f=x3;g=1)", 2, "weight f uses more than 2 variables"),
     ], ids=["superscript-exponent", "arabic-indic-digits", "long-literal",
-            "long-exponent", "weight-index", "leading-operator", "weight-index-zero",
-            "weight-past-the-pattern"])
+            "long-exponent", "weight-index", "leading-operator", "missing-operand",
+            "juxtaposed-statistics", "weight-index-zero", "weight-past-the-pattern"])
     def test_malformed_input_fails_fast(self, expr, code, message):
         start = time.perf_counter()
         done = run_process("moment", expr, timeout=30)
@@ -594,6 +596,28 @@ class TestClosedStdout:
             assert main(["verify", "exc", "--nmax", "3", "-d", "1"]) == 1
 
 
+# the fixture's mu=[];nu=[1,1] entry and one more m2 term, a wrong polynomial
+# that agrees with the true one at lambda = (2) and (1,1)
+EXTRA_M2 = (
+    b'{"mu=[];nu=[1,1]": {"terms": [{"coef": "-3", "exps": {"n": 1}},'
+    b' {"coef": "3", "exps": {"m1": 1}}, {"coef": "1", "exps": {"n": 2}},'
+    b' {"coef": "-2", "exps": {"n": 1, "m1": 1}}, {"coef": "1", "exps": {"m1": 2}},'
+    b' {"coef": "2", "exps": {"m2": 1}}, {"coef": "1", "exps": {"m2": 1}}]}}'
+)
+# a k = 6 entry with its m2^3 coefficient 7 for 8, which m2 = 0 hides at
+# lambda = (6) and (1^6)
+WRONG_AT_K6 = (
+    b'{"mu=[2];nu=[2,2]": {"terms": [{"coef": "-10", "exps": {"n": 1, "m2": 1}},'
+    b' {"coef": "10", "exps": {"m1": 1, "m2": 1}}, {"coef": "2", "exps": {"n": 2, "m2": 1}},'
+    b' {"coef": "-4", "exps": {"n": 1, "m1": 1, "m2": 1}}, {"coef": "2", "exps": {"m1": 2, "m2": 1}},'
+    b' {"coef": "20", "exps": {"m2": 2}}, {"coef": "-8", "exps": {"n": 1, "m2": 2}},'
+    b' {"coef": "8", "exps": {"m1": 1, "m2": 2}}, {"coef": "12", "exps": {"m2": 1, "m3": 1}},'
+    b' {"coef": "7", "exps": {"m2": 3}}, {"coef": "8", "exps": {"m2": 1, "m4": 1}}]}}'
+)
+# the type each wrong entry names
+NAMED_TYPE = {EXTRA_M2: "mu=[];nu=[1,1]", WRONG_AT_K6: "mu=[2];nu=[2,2]"}
+
+
 class TestDiskCache:
     @pytest.fixture
     def fresh_cache(self, monkeypatch):
@@ -662,6 +686,12 @@ class TestDiskCache:
             # right polynomial of that type (2*m1*m2 and 2*m2)
             b'{"mu=[1,2];nu=[]": {"terms": [{"coef": "2", "exps": {"m1": 1, "m2": 1}}]}}',
             b'{"mu=[ 2];nu=[]": {"terms": [{"coef": "2", "exps": {"m2": 1}}]}}',
+            pytest.param(EXTRA_M2, id="extra-m2-term"),
+            pytest.param(WRONG_AT_K6, id="wrong-coefficient-at-k6"),
+            # nesting deeper than json reads, of the file and of one entry
+            pytest.param(b"[" * 100000 + b"]" * 100000, id="deep-nesting"),
+            pytest.param(b'{"mu=[];nu=[1]": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+                         id="deep-nesting-in-entry"),
         ],
     )
     def test_corrupt_cache_rejected_untouched(self, tmp_path, capsys, fresh_cache, content):
@@ -671,7 +701,8 @@ class TestDiskCache:
         code, out, err = run(capsys, "moment", "exc", "--cache", str(path))
         assert time.perf_counter() - start < 5
         assert code == 2
-        assert out == "" and str(path) in err
+        assert out == "" and f"cache file {path} is not a cycstat cache" in err
+        assert NAMED_TYPE.get(content, "") in err
         assert path.read_bytes() == content
 
     def test_variable_past_the_type_builds_no_exponents(self, tmp_path):
@@ -684,7 +715,7 @@ class TestDiskCache:
         )
         assert (done.returncode, done.stdout) == (2, "")
         assert f"cache file {path} is not a cycstat cache" in done.stderr
-        assert "variable m1000000000 is above m1" in done.stderr
+        assert "entry mu=[];nu=[1] is not the polynomial of its type" in done.stderr
         assert path.read_bytes() == content
 
     def test_wrong_entry_named(self, tmp_path, capsys, fresh_cache):

@@ -9,13 +9,15 @@ quotients."""
 import errno
 import json
 import os
+import re
 from collections import Counter
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
-from cycstat import indicator
+from cycstat import indicator, oracle
 from cycstat.errors import (
     InternalConsistencyError,
     MalformedInputError,
@@ -35,6 +37,8 @@ from cycstat.poly import N, ONE, Poly, mvar, to_json_dict
 from cycstat.setpartitions import set_partitions
 
 from conftest import all_cycle_path_types
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 
 def mobius_lower(blocks) -> int:
@@ -198,6 +202,18 @@ class TestIndicatorMoment:
         assert indicator_moment(t) is indicator_moment(t)
 
 
+@pytest.fixture
+def fresh_memos():
+    """The process-wide block-weight and arc-count memos, empty before the
+    test and emptied after it, so no value crosses a patched test."""
+    memos = (indicator._block_weight, indicator._connected)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
 class TestMobiusCountPoly:
     def test_matches_sum_over_partitions(self):
         # every path-only type with at most 8 path vertices: the arc count
@@ -205,7 +221,7 @@ class TestMobiusCountPoly:
         types = path_only_types(8)
         assert len(types) == 21
         for t in types:
-            assert path_count_poly(t.paths) == mobius_count_poly(t.representative()), t.key
+            assert path_count_poly(t) == mobius_count_poly(t.representative()), t.key
 
     def test_one_unrestricted_count_per_quotient_type(self, monkeypatch):
         calls = []
@@ -235,13 +251,13 @@ class TestArcCount:
         types = [t for t in path_only_types(12) if t.size <= 6]
         assert len(types) == 29
         for t in types:
-            poly, rep = path_count_poly(t.paths), t.representative()
+            poly, rep = path_count_poly(t), t.representative()
             for n in range(2 * t.size + 1):
                 for lam in partitions(n):
                     assert poly.evaluate(evaluation_point(lam)) == \
                         injection_count(rep, lam), (t.key, lam)
 
-    def test_one_block_weight_per_point_counts(self, monkeypatch):
+    def test_one_block_weight_per_point_counts(self, monkeypatch, fresh_memos):
         calls = []
         original = indicator._block_weight
 
@@ -250,11 +266,16 @@ class TestArcCount:
             return original(sizes)
 
         monkeypatch.setattr(indicator, "_block_weight", counting)
-        path_count_poly((1, 1, 1, 2))
-        # the blocks' sorted point counts: 2, 3, 2+2, 2+3, 2+2+2, 2+2+3, 2+2+2+3
-        assert sorted(calls) == sorted(set(calls)) and len(calls) == 7
+        path_count_poly(CyclePathType((), (2, 1, 1, 1)))
+        # the blocks' sorted point counts: 2, 3, 2+2, 2+3, 2+2+2, 2+2+3, 2+2+2+3,
+        # each computed once and read from the memo after
+        assert len(set(calls)) == 7
+        assert original.cache_info().misses == 7
+        # the cycles shift the weights, and reuse them
+        path_count_poly(CyclePathType((2, 1), (2, 1, 1, 1)))
+        assert original.cache_info().misses == 7
 
-    def test_broken_arc_count_exits_4(self, capsys, monkeypatch):
+    def test_broken_arc_count_exits_4(self, capsys, monkeypatch, fresh_memos):
         # without its factor c the count of one arc is 1 on every long
         # enough cycle, which is not linear in c
         original = indicator._arcs
@@ -392,8 +413,40 @@ class TestDiskCache:
         def no_oracle(*args, **kwargs):
             raise AssertionError("the oracle ran on a support-16 entry")
 
-        monkeypatch.setattr(indicator, "injection_count", no_oracle)
+        monkeypatch.setattr(oracle, "injection_count", no_oracle)
+        monkeypatch.setattr(oracle, "compatible_function_count", no_oracle)
         assert indicator._read_disk(str(path)) == {t: indicator_moment(t)}
+
+    @pytest.mark.parametrize("name", ["warm-expansion", "verify-grid", "weighted-sums"])
+    def test_benchmark_fixture_is_its_recomputation(self, name):
+        # the warm workloads load these files; each entry must be what the
+        # cache would write for its type
+        path = FIXTURES / f"{name}.json"
+        content = path.read_bytes()
+        raw = json.loads(content)
+        for key, data in raw.items():
+            poly = indicator._compute(CyclePathType.from_key(key))
+            assert json.dumps(data) == json.dumps(to_json_dict(poly)), key
+        assert list(indicator._read_disk(str(path))) == [CyclePathType.from_key(k) for k in raw]
+        assert path.read_bytes() == content
+
+    @pytest.mark.parametrize("coef", [
+        # the forms the number parser refused before entries were recomputed
+        "1e5", "1E5", "1.5", ".5", "1_000", " 3", "3 ", "+3",
+        "1/0", "1/-2", "--1", "-", "", "/2", "1/", "\u0663", "inf", "nan",
+        2.0, 1e400, True, None, [1, 2],
+        # forms of the right value that the cache does not write
+        "03", "6/2", "3/1", "3e0", 3, 3.0,
+    ])
+    def test_other_coefficient_forms_refused(self, tmp_path, coef):
+        # the coefficient 3 of m1 in the entry of two edges, in another form
+        entry = to_json_dict(indicator_moment(CyclePathType((), (1, 1))))
+        assert entry["terms"][1] == {"coef": "3", "exps": {"m1": 1}}
+        entry["terms"][1]["coef"] = coef
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({"mu=[];nu=[1,1]": entry}))
+        with pytest.raises(MalformedInputError, match=re.escape("entry mu=[];nu=[1,1] is not")):
+            indicator._read_disk(str(path))
 
 
 class TestIndicatorExpectation:
