@@ -267,7 +267,7 @@ def _parse_variable(toks: _Tokens) -> Poly:
         if index < 1:
             raise ParseError(tok[2], "a variable x1, x2, ...", tok[1])
         return Poly.variable(index - 1)
-    raise ParseError(tok[2], "a number, variable or '('", tok[1])
+    raise ParseError(tok[2], "a number, variable, '-' or '('", tok[1])
 
 
 _COMPOUNDS = {"N": _parse_pattern, "biv": _parse_bivincular, "T": _parse_translate}

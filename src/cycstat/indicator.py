@@ -76,12 +76,15 @@ def check_bell_cap(t: CyclePathType) -> None:
 
 class _MomentCache:
     """In-process cache with single-flight computation and an optional
-    on-disk JSON mirror."""
+    on-disk JSON mirror, rewritten after each computed type, or once when
+    the last open deferred_writes scope exits."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._data: dict[CyclePathType, Poly] = {}
         self._disk_path: str | None = None
+        self._deferred = 0  # deferred_writes scopes open
+        self._unwritten = False  # a type computed since the last write
 
     def configure_disk(self, path: str | None) -> None:
         with self._lock:
@@ -95,17 +98,32 @@ class _MomentCache:
 
     def get_or_compute(self, t: CyclePathType) -> Poly:
         check_bell_cap(t)  # a cached type is refused like a new one
-        with self._lock:
+        with self.deferred_writes(), self._lock:
             hit = self._data.get(t)
             if hit is not None:
                 return hit
             poly = _compute(t)
             self._data[t] = poly
-            if self._disk_path is not None:
-                self._flush_locked()
+            self._unwritten = self._disk_path is not None
             return poly
 
+    @contextlib.contextmanager
+    def deferred_writes(self):
+        """A scope whose computed types reach the disk in one rewrite when
+        the last open scope exits, by an exception too, so the file ends as
+        a rewrite per type would leave it."""
+        with self._lock:
+            self._deferred += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._deferred -= 1
+                if not self._deferred and self._unwritten:
+                    self._flush_locked()
+
     def _flush_locked(self) -> None:
+        self._unwritten = False
         payload = {t.key: to_json_dict(poly) for t, poly in self._data.items()}
         # written aside and renamed over the cache, so a failed write leaves
         # the previous file whole; the pid keeps processes sharing one cache
@@ -169,6 +187,12 @@ def configure_disk_cache(path: str | None) -> None:
     _CACHE.configure_disk(path)
 
 
+def deferred_cache_writes():
+    """A scope in which the types indicator_moment computes are written to
+    the --cache file once, at its exit, not once per type."""
+    return _CACHE.deferred_writes()
+
+
 def indicator_moment(t: CyclePathType) -> Poly:
     """f_{(mu,nu)}, cached by type; f / (n)_m is the expectation."""
     return _CACHE.get_or_compute(t)
@@ -209,7 +233,9 @@ def path_count_poly(t: CyclePathType) -> Poly:
     for sigma in set_partitions(len(points)):
         blocks = (tuple(sorted(points[i - 1] for i in block)) for block in sigma)
         weights = map(_block_weight, blocks)
-        out = out + prod((w - w.evaluate(at) for w in weights), start=ONE)
+        if t.cycles:  # with no cycles the point is 0, and W(0) = 0
+            weights = (w - w.evaluate(at) for w in weights)
+        out = out + prod(weights, start=ONE)
     return out
 
 

@@ -11,6 +11,13 @@ Exponent keys are tuples with trailing zeros stripped, so the variable
 universe can grow lazily without rewriting existing terms.  A coefficient
 is an int when it is an integer, a Fraction only when it is not.  No
 floating point anywhere.
+
+The two kernels, Poly * Poly and divide_exact_in_n, compute in Python ints:
+each operand is written as int coefficients over one positive common
+denominator D, the lcm of its denominators, and each output coefficient is
+built once at the end, as c // D when D divides c and Fraction(c, D)
+otherwise.  That is the coefficient rule above, so no value, text or hash
+depends on which route built a polynomial.
 """
 
 from __future__ import annotations
@@ -112,17 +119,16 @@ class Poly:
         return as_poly(other) + (-self)
 
     def __mul__(self, other) -> "Poly":
-        other = as_poly(other)
-        out: dict[Exponents, Coefficient] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        """In integers: each factor as int coefficients over its common
+        denominator, every product coefficient built once at the end."""
+        left, d1 = _scaled(self.terms)
+        right, d2 = _scaled(as_poly(other).terms)
+        out: dict[Exponents, int] = {}
+        for e1, c1 in left.items():
+            for e2, c2 in right.items():
                 key = _mul_exps(e1, e2)
-                val = _lower(out.get(key, 0) + c1 * c2)
-                if val:
-                    out[key] = val
-                else:
-                    out.pop(key, None)
-        return _raw(out)
+                out[key] = out.get(key, 0) + c1 * c2
+        return from_scaled(out, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -209,6 +215,24 @@ def _lower(c: Coefficient) -> Coefficient:
     return c.numerator if c.denominator == 1 else c
 
 
+def _scaled(terms: dict[Exponents, Coefficient]) -> tuple[dict[Exponents, int], int]:
+    """(terms * D, D) for D > 0 the lcm of the denominators: the same
+    coefficients as ints over one common denominator."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    if d == 1:  # every coefficient is an int already
+        return terms, 1
+    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+
+
+def from_scaled(terms: dict[Exponents, int], d: int) -> "Poly":
+    """The polynomial terms / d, for int coefficients under stripped keys and
+    d > 0: each nonzero coefficient by the coefficient rule, c // d when d
+    divides c and Fraction(c, d) otherwise."""
+    if d == 1:
+        return _raw({e: c for e, c in terms.items() if c})
+    return _raw({e: c // d if not c % d else Fraction(c, d) for e, c in terms.items() if c})
+
+
 def _raw(terms: dict[Exponents, Coefficient]) -> Poly:
     p = Poly()
     object.__setattr__(p, "terms", terms)
@@ -251,14 +275,16 @@ def divide_exact_in_n(num: Poly, roots) -> Poly | None:
     """num / prod_{r in roots} (n - r), or None if that leaves a remainder.
     Dividing by n - r never mixes the monomials in the other variables, so
     the coefficient list in n of each is divided on its own, by synthetic
-    division one root at a time."""
-    columns: dict[Exponents, list[Coefficient]] = {}
-    for exps, coef in num.terms.items():
+    division one root at a time, in integers over num's common denominator
+    D > 0: an int remainder is nonzero exactly when the rational one is."""
+    terms, scale = _scaled(num.terms)
+    columns: dict[Exponents, list[int]] = {}
+    for exps, coef in terms.items():
         col = columns.setdefault(exps[1:], [])
         d = exps[0] if exps else 0
         col += [0] * (d + 1 - len(col))
         col[d] = coef
-    out: dict[Exponents, Coefficient] = {}
+    out: dict[Exponents, int] = {}
     for rest, col in columns.items():
         for r in roots:
             # col[d] becomes the quotient's coefficient of n^(d-1), and col[0]
@@ -268,8 +294,8 @@ def divide_exact_in_n(num: Poly, roots) -> Poly | None:
             if col[0]:
                 return None
             del col[0]
-        out.update({(d,) + rest if d or rest else (): _lower(c) for d, c in enumerate(col) if c})
-    return _raw(out)
+        out.update({(d,) + rest if d or rest else (): c for d, c in enumerate(col)})
+    return from_scaled(out, scale)
 
 
 # -- rendering ---------------------------------------------------------
@@ -356,8 +382,7 @@ def to_json_dict(p: Poly, universe=ENGINE_VARS) -> dict:
 def integerize(p: Poly) -> tuple[Poly, int]:
     """Write p = P / d with P having coprime integer coefficients and d a
     positive integer; returns (P, d)."""
-    q = lcm(*(c.denominator for c in p.terms.values()))
-    scaled = {e: c.numerator * (q // c.denominator) for e, c in p.terms.items()}
+    scaled, q = _scaled(p.terms)
     g = gcd(q, *scaled.values())
     return _raw({e: c // g for e, c in scaled.items()}), q // g
 

@@ -16,20 +16,22 @@ basis binom(z - 1, j), z the start of the current run:
     (z + s) * binom(z-1, j) = (j+1) * binom(z-1, j+1) + (j+1+s) * binom(z-1, j)
     sum_{z < t} binom(z-1, j) = binom(t-1, j+1)
 
-so S = sum_j g_j * binom(n - q, j).  Two checks certify the result: S must
-equal the direct sum of f over the constrained subsets at n = k + 1 and
-n = k + 2, and S must divide exactly by binom(n - q, k - q).
+so S = sum_j g_j * binom(n - q, j).  S is built in integers over deg! and
+the common denominator of f, deg = deg f + k - q: the g_j are ints, and
+binom(n - q, j) = (deg! / j!) (n - q)_j / deg!, with the coefficients of
+(n - q)_j in n carried one factor at a time.  Two checks certify the
+result: S must equal the direct sum of f over the constrained subsets at
+n = k + 1 and n = k + 2, and S must divide exactly by binom(n - q, k - q).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
 from .errors import InternalConsistencyError, ResourceLimitError
-from .poly import N, ONE, ZERO, Poly, divide_exact_in_n
+from .poly import Poly, divide_exact_in_n, from_scaled, integerize
 
 # the largest degree deg f + k - q of one constrained sum; the work grows as
 # the square of the degree, so a higher degree is refused before it starts
@@ -42,14 +44,6 @@ def constrained_subsets(n: int, k: int, C: frozenset[int]):
     for combo in combinations(range(1, n + 1), k):
         if all(combo[i] == combo[i - 1] + 1 for i in C):
             yield combo
-
-
-@lru_cache(maxsize=None)
-def binomial_poly(q: int, r: int) -> Poly:
-    """binom(n - q, r) as a polynomial in n."""
-    if r == 0:
-        return ONE
-    return binomial_poly(q, r - 1) * ((N - Poly.const(q + r - 1)) * Fraction(1, r))
 
 
 @lru_cache(maxsize=4096)
@@ -66,8 +60,11 @@ def constrained_sum(f: Poly, k: int, C: frozenset[int]) -> tuple[Poly, Poly]:
             f"constrained sum of degree {degree} (deg f + k - q) exceeds "
             f"the cap {MAX_SUM_DEGREE}"
         )
+    # in integers: f = F / scale with F's coefficients ints, so each total[j]
+    # is an int, the coefficient of binom(n - q, j) in scale * S
+    F, scale = integerize(f)
     total = [0] * (degree + 1)
-    for exps, coef in f.terms.items():
+    for exps, coef in F.terms.items():
         g, shift = [1], 0
         for i in range(1, k + 1):
             for _ in range(exps[i - 1] if i <= len(exps) else 0):
@@ -80,7 +77,17 @@ def constrained_sum(f: Poly, k: int, C: frozenset[int]) -> tuple[Poly, Poly]:
                 g = [0] + g
         for j, c in enumerate(g):
             total[j] += coef * c
-    S = sum((c * binomial_poly(q, j) for j, c in enumerate(total) if c), ZERO)
+    # acc / degree! is the sum of total[j] * binom(n - q, j), in n
+    acc = [0] * (degree + 1)
+    falling, ratio = [1], factorial(degree)
+    for j, c in enumerate(total):
+        if c:
+            c *= ratio
+            for i, a in enumerate(falling):
+                acc[i] += c * a
+        ratio //= j + 1
+        falling = [b - (q + j) * a for a, b in zip(falling + [0], [0] + falling)]
+    S = from_scaled({(i,) if i else (): a for i, a in enumerate(acc)}, scale * factorial(degree))
     for n in (k + 1, k + 2):
         if S.evaluate((n,)) != f.sum_over(constrained_subsets(n, k, C)):
             raise InternalConsistencyError(

@@ -1,6 +1,7 @@
 """Command-line interface: output forms and the exit-code contract."""
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -14,9 +15,10 @@ import pytest
 from cycstat import indicator, sums, translates
 from cycstat.cli import _build_parser, main
 from cycstat.dsl import parse_statistic
+from cycstat.errors import ResourceLimitError
 from cycstat.expectation import RationalExpectation
 from cycstat.oracle import descent_count
-from cycstat.partial import placements
+from cycstat.partial import CyclePathType, placements
 from cycstat.poly import ONE, to_json_dict
 from cycstat.translates import RegularStatistic
 
@@ -631,6 +633,41 @@ class TestDiskCache:
         code2, out2, _ = run(capsys, "moment", "exc", "--cache", path)
         assert (code1, code2) == (0, 0)
         assert out1 == out2
+
+    @pytest.mark.parametrize("argv", [
+        ("moment", "cyc2", "-d", "4"), ("moment", "inv", "-d", "2"),
+        ("moment", "exc", "-d", "3", "--lambda", "3,2,1"),
+    ])
+    def test_one_rewrite_per_moment(self, tmp_path, capsys, monkeypatch, argv):
+        # the file a rewrite per computed type leaves, from an empty cache
+        path = tmp_path / "cache.json"
+        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        with monkeypatch.context() as m:
+            m.setattr(translates, "deferred_cache_writes", contextlib.nullcontext)
+            code, per_type, _ = run(capsys, *argv, "--cache", str(path))
+        assert code == 0
+        written = path.read_bytes()
+        path.unlink()
+        replaced = []
+        real_replace = os.replace
+        monkeypatch.setattr(os, "replace", lambda a, b: (replaced.append(b), real_replace(a, b)))
+        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        code, out, _ = run(capsys, *argv, "--cache", str(path))
+        assert (code, out) == (0, per_type)
+        assert replaced == [str(path)]
+        assert path.read_bytes() == written
+
+    def test_refused_type_keeps_the_types_computed_before_it(self, tmp_path, monkeypatch):
+        # moment_at computes each type as it reaches it: the first is written
+        # when the second exceeds the Bell cap
+        path = tmp_path / "cache.json"
+        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        indicator.configure_disk_cache(str(path))
+        monkeypatch.setattr(indicator, "BELL_CAP", 2)
+        first, second = CyclePathType((), (1,)), CyclePathType((), (1, 1))
+        with pytest.raises(ResourceLimitError):
+            translates.class_value({first: ONE, second: ONE}, (2, 2))
+        assert list(json.loads(path.read_text())) == [first.key]
 
     def test_bell_cap_applies_to_cached_types(self, tmp_path, capsys, monkeypatch):
         # each run gets its own in-process cache, as separate processes would

@@ -171,7 +171,7 @@ MALFORMED_FIELDS = [
     ("biv(21;A={};B={};f=1;g=1", 24, "')'", ""),
     ("biv(21;A={}B={};f=1;g=1)", 11, "';'", "B"),
     ("biv(21;A=(1);B={};f=1;g=1)", 9, "'{'", "("),
-    ("biv(21;A={};B={};f=;g=1)", 19, "a number, variable or '('", ";"),
+    ("biv(21;A={};B={};f=;g=1)", 19, "a number, variable, '-' or '('", ";"),
     ("T(U=(1);V=(2);C={};g=1)", 19, "'f='", "g"),
     ("T(V=(1);U=(2);C={};f=1)", 2, "'U='", "V"),
     ("T(U=(1);W=(2);C={};f=1)", 8, "'V='", "W"),
@@ -181,7 +181,7 @@ MALFORMED_FIELDS = [
     ("T(U=(1);V=(2);C={};f=1", 22, "')'", ""),
     ("T(U=(1) V=(2);C={};f=1)", 8, "';'", "V"),
     ("T(U(1);V=(2);C={};f=1)", 3, "'='", "("),
-    ("T(U=(1);V=(2);C={};f=)", 21, "a number, variable or '('", ")"),
+    ("T(U=(1);V=(2);C={};f=)", 21, "a number, variable, '-' or '('", ")"),
     # tokens are ASCII: a non-ASCII digit, letter or superscript is no token
     ("exc^\u00b2", 4, "a token", "\u00b2"),
     ("N(\u0661\u0662)", 2, "a token", "\u0661"),

@@ -393,6 +393,41 @@ class TestDiskCache:
         assert removed == []
         assert os.listdir(tmp_path) == ["cache.json"]
 
+    def test_deferred_scope_writes_once_at_its_exit(self, tmp_path, monkeypatch):
+        replaced = []
+        real_replace = os.replace
+        monkeypatch.setattr(os, "replace", lambda a, b: (replaced.append(b), real_replace(a, b)))
+        path = tmp_path / "cache.json"
+        cache = indicator._MomentCache()
+        cache.configure_disk(str(path))
+        types = [CyclePathType((1,), ()), CyclePathType((), (1,)), CyclePathType((2,), (2, 1))]
+        with cache.deferred_writes():
+            with cache.deferred_writes():  # an inner scope's exit writes nothing
+                entries = {t.key: to_json_dict(cache.get_or_compute(t)) for t in types[:2]}
+            entries[types[2].key] = to_json_dict(cache.get_or_compute(types[2]))
+            assert replaced == [] and not path.exists()
+        assert replaced == [str(path)]
+        # what a rewrite per type leaves (test_written_file_is_json_dumps_of_entries)
+        assert path.read_text() == json.dumps(entries)
+        # a hit writes nothing; a lone computed type is written through
+        with cache.deferred_writes():
+            cache.get_or_compute(types[0])
+        assert len(replaced) == 1
+        lone = CyclePathType((), (2,))
+        entries[lone.key] = to_json_dict(cache.get_or_compute(lone))
+        assert len(replaced) == 2 and path.read_text() == json.dumps(entries)
+
+    def test_deferred_scope_writes_when_left_by_an_exception(self, tmp_path):
+        path = tmp_path / "cache.json"
+        cache = indicator._MomentCache()
+        cache.configure_disk(str(path))
+        t = CyclePathType((1,), ())
+        with pytest.raises(ResourceLimitError):
+            with cache.deferred_writes():
+                cache.get_or_compute(t)
+                raise ResourceLimitError("a later type is refused")
+        assert json.loads(path.read_text()) == {t.key: to_json_dict(mvar(1))}
+
     def test_types_computed_before_configuring_are_written(self, tmp_path):
         path = tmp_path / "cache.json"
         on_disk = CyclePathType((1,), ())

@@ -257,3 +257,86 @@ def test_integer_coefficients_are_ints(a, b):
 def test_int_and_fraction_coefficients_agree():
     assert Poly({(): 2}) == Poly({(): Fraction(2)})
     assert hash(Poly({(): 2})) == hash(Poly({(): Fraction(2)}))
+
+
+# -- the integer kernels against Fraction-only references ------------------
+
+def _lower(c):
+    return c.numerator if c.denominator == 1 else c
+
+
+def _fraction_mul(a: Poly, b: Poly) -> Poly:
+    """a * b added term by term in Fractions, the kernel before it ran in
+    ints over one common denominator."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            width = max(len(e1), len(e2))
+            key = tuple(x + y for x, y in zip(e1 + (0,) * (width - len(e1)),
+                                              e2 + (0,) * (width - len(e2))))
+            val = _lower(Fraction(out.get(key, 0)) + c1 * c2)
+            if val:
+                out[key] = val
+            else:
+                out.pop(key, None)
+    return Poly(out)
+
+
+def _fraction_divide(num: Poly, roots):
+    """num / prod (n - r) by synthetic division in Fractions, or None."""
+    columns = {}
+    for exps, coef in num.terms.items():
+        col = columns.setdefault(exps[1:], [])
+        d = exps[0] if exps else 0
+        col += [Fraction(0)] * (d + 1 - len(col))
+        col[d] = Fraction(coef)
+    out = {}
+    for rest, col in columns.items():
+        for r in roots:
+            for d in range(len(col) - 2, -1, -1):
+                col[d] += r * col[d + 1]
+            if col[0]:
+                return None
+            del col[0]
+        out.update({(d,) + rest: c for d, c in enumerate(col) if c})
+    return Poly(out)
+
+
+def mixed_poly_strategy(max_vars=3, max_terms=5):
+    """Sparse polynomials whose coefficients are ints and Fractions, some of
+    the Fractions integral."""
+    coef = st.integers(-6, 6) | st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    exps = st.lists(st.integers(0, 3), max_size=max_vars).map(tuple)
+    return st.dictionaries(exps, coef, max_size=max_terms).map(Poly)
+
+
+def _same(p: Poly, q: Poly) -> bool:
+    """The same terms, each coefficient of the same type."""
+    return p.terms == q.terms and all(type(c) is type(q.terms[e]) for e, c in p.terms.items())
+
+
+@given(mixed_poly_strategy(), mixed_poly_strategy())
+def test_product_matches_fraction_reference(a, b):
+    # (a + b) * (a - b) cancels its cross terms, and a * -a cancels nothing
+    for x, y in [(a, b), (a + b, a - b), (a, -a), (a, ZERO), (b, Poly.const(Fraction(3, 2)))]:
+        got = x * y
+        assert _same(got, _fraction_mul(x, y)), (x, y)
+        assert _keeps_the_rule(got)
+    assert (a + b) * (a - b) == _fraction_mul(a, a) - _fraction_mul(b, b)
+
+
+@given(mixed_poly_strategy(), st.lists(st.integers(-3, 5), max_size=4),
+       st.integers(-6, 6) | st.fractions(min_value=-5, max_value=5, max_denominator=6))
+def test_division_matches_fraction_reference(p, roots, c):
+    # a multiple of the roots' product, the same plus a constant (a
+    # remainder unless c is 0 or no root is given), and p itself
+    product = p
+    for r in roots:
+        product = _fraction_mul(product, N - r)
+    for num in (product, product + c, p):
+        got, want = divide_exact_in_n(num, roots), _fraction_divide(num, roots)
+        assert (got is None) == (want is None), (num, roots)
+        if got is not None:
+            assert _same(got, want)
+            assert _keeps_the_rule(got)
+    assert _same(divide_exact_in_n(product, roots), p)

@@ -1,6 +1,7 @@
 """Constrained power sums over adjacency-constrained subsets."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -10,7 +11,17 @@ from hypothesis import given, settings, strategies as st
 from cycstat import sums
 from cycstat.errors import InternalConsistencyError, ResourceLimitError
 from cycstat.poly import N, ONE, Poly, xvar
-from cycstat.sums import binomial_poly, constrained_subsets, constrained_sum
+from cycstat.sums import constrained_subsets, constrained_sum
+
+
+@cache
+def binomial_poly(q: int, r: int) -> Poly:
+    """binom(n - q, r) as a polynomial in n, a product of Fraction
+    polynomials: the reference for the closed forms constrained_sum builds
+    in integers."""
+    if r == 0:
+        return ONE
+    return binomial_poly(q, r - 1) * ((N - Poly.const(q + r - 1)) * Fraction(1, r))
 
 # every (k, C) with k <= 5 and C a subset of [k-1]
 SHAPES = [
@@ -139,6 +150,39 @@ def test_closed_form_matches_direct_summation(k, C, data):
     for n in range(q, q + max(S.total_degree(), 0) + 3):
         assert S.evaluate((n,)) == direct_sum(f, n, k, C), (f, k, C, n)
     assert S == fbar * binomial_poly(q, k - q)
+
+
+def reference_sum(f, k, C):
+    """S as constrained_sum built it in Fractions: the coefficients over the
+    basis binom(n - q, j) from the same recurrence, then each multiplied by
+    binomial_poly(q, j)."""
+    q = len(C)
+    total = {}
+    for exps, coef in f.terms.items():
+        g, shift = [1], 0
+        for i in range(1, k + 1):
+            for _ in range(exps[i - 1] if i <= len(exps) else 0):
+                g = [(j + 1 + shift) * a + j * b
+                     for j, (a, b) in enumerate(zip(g + [0], [0] + g))]
+            if i in C:
+                shift += 1
+            else:
+                g = [0] + g
+        for j, c in enumerate(g):
+            total[j] = total.get(j, 0) + coef * c
+    return sum((c * binomial_poly(q, j) for j, c in total.items() if c), Poly())
+
+
+@given(data=st.data())
+def test_integer_construction_matches_binomial_reference(data):
+    # any k <= 6 and any C inside [k - 1]
+    k = data.draw(st.integers(0, 6))
+    C = frozenset(data.draw(st.sets(st.integers(1, k - 1)) if k > 1 else st.just(set())))
+    f = data.draw(weights(k))
+    S, _ = constrained_sum(f, k, C)
+    want = reference_sum(f, k, C)
+    assert S.terms == want.terms
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in S.terms.values())
 
 
 def test_direct_check_is_wired(monkeypatch):
