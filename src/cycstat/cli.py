@@ -230,14 +230,17 @@ def main(argv=None) -> int:
     try:
         if args.cache:
             indicator.configure_disk_cache(args.cache)
-        stat = parse_statistic(args.expr)
-        if args.command == "moment":
-            return _cmd_moment(args, stat)
-        if args.command == "limit":
-            return _cmd_limit(args, stat)
-        if args.command == "verify":
-            return _cmd_verify(args, stat)
-        return _cmd_expand(args, stat)
+        # the types a command computes reach the --cache file in one
+        # rewrite as it ends, by an exit 3 or 4 too
+        with indicator.deferred_cache_writes():
+            stat = parse_statistic(args.expr)
+            if args.command == "moment":
+                return _cmd_moment(args, stat)
+            if args.command == "limit":
+                return _cmd_limit(args, stat)
+            if args.command == "verify":
+                return _cmd_verify(args, stat)
+            return _cmd_expand(args, stat)
     except (ParseError, MalformedInputError, DegenerateEvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

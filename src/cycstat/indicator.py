@@ -77,13 +77,13 @@ def check_bell_cap(t: CyclePathType) -> None:
 class _MomentCache:
     """In-process cache with single-flight computation and an optional
     on-disk JSON mirror, rewritten after each computed type, or once when
-    the last open deferred_writes scope exits."""
+    the calling thread's outermost deferred_writes scope exits."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._data: dict[CyclePathType, Poly] = {}
         self._disk_path: str | None = None
-        self._deferred = 0  # deferred_writes scopes open
+        self._scopes = threading.local()  # .depth: this thread's open scopes
         self._unwritten = False  # a type computed since the last write
 
     def configure_disk(self, path: str | None) -> None:
@@ -110,17 +110,19 @@ class _MomentCache:
     @contextlib.contextmanager
     def deferred_writes(self):
         """A scope whose computed types reach the disk in one rewrite when
-        the last open scope exits, by an exception too, so the file ends as
-        a rewrite per type would leave it."""
-        with self._lock:
-            self._deferred += 1
+        this thread's outermost scope exits, by an exception too, so the
+        file ends as a rewrite per type would leave it.  The depth is kept
+        per thread: another thread's lone call still writes through."""
+        scopes = self._scopes
+        scopes.depth = getattr(scopes, "depth", 0) + 1
         try:
             yield
         finally:
-            with self._lock:
-                self._deferred -= 1
-                if not self._deferred and self._unwritten:
-                    self._flush_locked()
+            scopes.depth -= 1
+            if not scopes.depth:
+                with self._lock:
+                    if self._unwritten:
+                        self._flush_locked()
 
     def _flush_locked(self) -> None:
         self._unwritten = False

@@ -37,10 +37,10 @@ from types import MappingProxyType
 
 from .errors import InternalConsistencyError, MalformedInputError, ResourceLimitError
 from .expectation import RationalExpectation, ZERO_EXPECTATION, evaluation_point
-from .indicator import check_bell_cap, deferred_cache_writes, indicator_moment
+from .indicator import check_bell_cap, indicator_moment
 from .partial import (CyclePathType, PartialPermutation, component_type, covering_injections,
                       placements, push_adjacencies)
-from .poly import ONE, ZERO, Poly, as_poly, to_text, WEIGHT_VARS
+from .poly import ZERO, Poly, as_poly, to_text, WEIGHT_VARS
 from .sums import constrained_sum
 from .value import Value
 
@@ -328,12 +328,10 @@ class RegularStatistic(Value):
 def class_expectation(sums: Mapping[CyclePathType, Poly]) -> RationalExpectation:
     """E_lambda symbolically: for each support size m, sum S * f over the
     types and normalise over (n)_m once.  Every type is held to the Bell cap
-    before any f is computed, and the f computed reach a --cache file in one
-    write."""
+    before any f is computed."""
     for t in sums:
         check_bell_cap(t)
-    with deferred_cache_writes():
-        return _over_falling((t.support_size, S * indicator_moment(t)) for t, S in sums.items())
+    return _over_falling((t.support_size, S * indicator_moment(t)) for t, S in sums.items())
 
 
 def uniform_expectation(sums: Mapping[CyclePathType, Poly]) -> RationalExpectation:
@@ -344,17 +342,15 @@ def uniform_expectation(sums: Mapping[CyclePathType, Poly]) -> RationalExpectati
 def class_value(sums: Mapping[CyclePathType, Poly], lam) -> Fraction:
     """Exact E_lambda at the cycle type lam, for every n.  A type of support
     m > n contributes 0, since [n] has no m-subsets (the symbolic ratio is
-    0/0 there), so its indicator polynomial is never computed.  The f
-    computed reach a --cache file in one write."""
+    0/0 there), so its indicator polynomial is never computed."""
     n = sum(lam)
     point = evaluation_point(lam, max((t.size for t in sums), default=0))
     total = Fraction(0)
-    with deferred_cache_writes():
-        for t, S in sums.items():
-            m = t.support_size
-            if m <= n:
-                f = indicator_moment(t)
-                total += S.evaluate(point) * f.evaluate(point) / perm(n, m)
+    for t, S in sums.items():
+        m = t.support_size
+        if m <= n:
+            f = indicator_moment(t)
+            total += S.evaluate(point) * f.evaluate(point) / perm(n, m)
     return total
 
 
@@ -457,10 +453,8 @@ def _grouped_sums(pairs) -> dict[CyclePathType, Poly]:
     up per cycle-path type read from the key's edges; a key whose weight
     does not cancel passes the checks a translate makes.  S is linear in the
     weight, so the weights are first added per (type, C) and each such
-    weight takes one constrained sum, a constant c as c times the sum of
-    ONE, so every constant of one (m, C) shares one sum.  The types come in
-    the order of their first key, and a type keeps its key even when its
-    sum cancels."""
+    weight takes one constrained sum.  The types come in the order of their
+    first key, and a type keeps its key even when its sum cancels."""
     by_type: dict[tuple[CyclePathType, tuple[int, ...]], int | Fraction | Poly] = {}
     for (positions, values, C), w in pairs:
         if w == 0:
@@ -472,11 +466,7 @@ def _grouped_sums(pairs) -> dict[CyclePathType, Poly]:
 
     sums: dict[CyclePathType, Poly] = {}
     for (t, C), w in by_type.items():
-        w = as_poly(w)
-        if w.num_vars:
-            S, _ = constrained_sum(w, t.support_size, frozenset(C))
-        else:
-            S = w * constrained_sum(ONE, t.support_size, frozenset(C))[0]
+        S, _ = constrained_sum(as_poly(w), t.support_size, frozenset(C))
         sums[t] = sums.get(t, ZERO) + S
     return sums
 

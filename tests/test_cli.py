@@ -15,7 +15,6 @@ import pytest
 from cycstat import indicator, sums, translates
 from cycstat.cli import _build_parser, main
 from cycstat.dsl import parse_statistic
-from cycstat.errors import ResourceLimitError
 from cycstat.expectation import RationalExpectation
 from cycstat.oracle import descent_count
 from cycstat.partial import CyclePathType, placements
@@ -637,13 +636,14 @@ class TestDiskCache:
     @pytest.mark.parametrize("argv", [
         ("moment", "cyc2", "-d", "4"), ("moment", "inv", "-d", "2"),
         ("moment", "exc", "-d", "3", "--lambda", "3,2,1"),
+        ("limit", "des", "--variance"), ("verify", "exc", "--nmax", "4", "-d", "2"),
     ])
-    def test_one_rewrite_per_moment(self, tmp_path, capsys, monkeypatch, argv):
+    def test_one_rewrite_per_command(self, tmp_path, capsys, monkeypatch, argv):
         # the file a rewrite per computed type leaves, from an empty cache
         path = tmp_path / "cache.json"
         monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
         with monkeypatch.context() as m:
-            m.setattr(translates, "deferred_cache_writes", contextlib.nullcontext)
+            m.setattr(indicator, "deferred_cache_writes", contextlib.nullcontext)
             code, per_type, _ = run(capsys, *argv, "--cache", str(path))
         assert code == 0
         written = path.read_bytes()
@@ -657,17 +657,19 @@ class TestDiskCache:
         assert replaced == [str(path)]
         assert path.read_bytes() == written
 
-    def test_refused_type_keeps_the_types_computed_before_it(self, tmp_path, monkeypatch):
-        # moment_at computes each type as it reaches it: the first is written
-        # when the second exceeds the Bell cap
+    def test_exit_3_keeps_the_types_computed_before_it(self, tmp_path, capsys, monkeypatch):
+        # verify computes each type as a class reaches it: the one edge of
+        # d = 1 is written in one rewrite when a type of d = 2 exceeds the cap
         path = tmp_path / "cache.json"
         monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
-        indicator.configure_disk_cache(str(path))
         monkeypatch.setattr(indicator, "BELL_CAP", 2)
-        first, second = CyclePathType((), (1,)), CyclePathType((), (1, 1))
-        with pytest.raises(ResourceLimitError):
-            translates.class_value({first: ONE, second: ONE}, (2, 2))
-        assert list(json.loads(path.read_text())) == [first.key]
+        replaced = []
+        real_replace = os.replace
+        monkeypatch.setattr(os, "replace", lambda a, b: (replaced.append(b), real_replace(a, b)))
+        code, _, err = run(capsys, "verify", "exc", "--nmax", "3", "-d", "2", "--cache", str(path))
+        assert code == 3 and "exceeds the Bell cap 2" in err
+        assert replaced == [str(path)]
+        assert list(json.loads(path.read_text())) == [CyclePathType((), (1,)).key]
 
     def test_bell_cap_applies_to_cached_types(self, tmp_path, capsys, monkeypatch):
         # each run gets its own in-process cache, as separate processes would

@@ -10,6 +10,7 @@ import errno
 import json
 import os
 import re
+import threading
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -416,6 +417,28 @@ class TestDiskCache:
         lone = CyclePathType((), (2,))
         entries[lone.key] = to_json_dict(cache.get_or_compute(lone))
         assert len(replaced) == 2 and path.read_text() == json.dumps(entries)
+
+    def test_deferred_scope_holds_back_only_its_own_threads_writes(self, tmp_path):
+        path = tmp_path / "cache.json"
+        cache = indicator._MomentCache()
+        cache.configure_disk(str(path))
+        opened, lone_done = threading.Event(), threading.Event()
+
+        def hold_a_scope():
+            with cache.deferred_writes():
+                opened.set()
+                lone_done.wait(timeout=60)
+
+        holder = threading.Thread(target=hold_a_scope)
+        holder.start()
+        try:
+            assert opened.wait(timeout=60)
+            t = CyclePathType((1,), ())
+            cache.get_or_compute(t)
+            assert json.loads(path.read_text()) == {t.key: to_json_dict(mvar(1))}
+        finally:
+            lone_done.set()
+            holder.join(timeout=60)
 
     def test_deferred_scope_writes_when_left_by_an_exception(self, tmp_path):
         path = tmp_path / "cache.json"
