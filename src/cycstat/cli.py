@@ -26,6 +26,7 @@ from .errors import (
 )
 from .oracle import N_CAP, class_moment, partitions
 from .poly import decimal, to_json_dict, to_text
+from .translates import check_exponent
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -171,13 +172,18 @@ def _cmd_limit(args, stat) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, stat) -> int:
-    if args.nmax > N_CAP:
-        raise ResourceLimitError(f"--nmax is capped at {N_CAP}")
+def _check_verify(args) -> None:
+    """verify's arguments before any work: the malformed first, then the caps."""
     if args.nmax < 1:
         raise MalformedInputError("--nmax must be >= 1")
     if args.d < 1:
         raise MalformedInputError("-d must be >= 1")
+    if args.nmax > N_CAP:
+        raise ResourceLimitError(f"--nmax is capped at {N_CAP}")
+    check_exponent(args.d)
+
+
+def _cmd_verify(args, stat) -> int:
     failures = 0
     cells = []
     for n in range(1, args.nmax + 1):
@@ -228,6 +234,8 @@ def _cmd_expand(args, stat) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.command == "verify":
+            _check_verify(args)
         if args.cache:
             indicator.configure_disk_cache(args.cache)
         # the types a command computes reach the --cache file in one

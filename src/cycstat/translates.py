@@ -38,6 +38,7 @@ from types import MappingProxyType
 from .errors import InternalConsistencyError, MalformedInputError, ResourceLimitError
 from .expectation import RationalExpectation, ZERO_EXPECTATION, evaluation_point
 from .indicator import check_bell_cap, indicator_moment
+from .oracle import compile_kernel
 from .partial import (CyclePathType, PartialPermutation, component_type, covering_injections,
                       placements, push_adjacencies)
 from .poly import ZERO, Poly, as_poly, to_text, WEIGHT_VARS
@@ -102,84 +103,14 @@ class ConstrainedTranslate(Value):
         return None if self.weight.num_vars else self.weight.constant_value()
 
     @cached_property
-    def _steps(self) -> tuple[tuple[bool, int | None, int | None, bool], ...]:
-        """For each support point i, in increasing order: whether i - 1 is in
-        C, the earlier point u with an edge u -> i, the earlier point v with
-        an edge i -> v (0-based, None when there is none), and whether
-        i -> i is an edge."""
-        into = {v: u for u, v in zip(self.packed.positions, self.packed.values)}
-        out = dict(zip(self.packed.positions, self.packed.values))
-        return tuple(
-            (
-                i - 1 in self.constraints,
-                into[i] - 1 if into.get(i, i) < i else None,
-                out[i] - 1 if out.get(i, i) < i else None,
-                out.get(i) == i,
-            )
-            for i in range(1, self.support_size + 1)
-        )
-
-    @cached_property
-    def _has_tail(self) -> bool:
-        """Whether a step places the tail of an edge to an earlier point."""
-        return any(tail_of is not None for _, _, tail_of, _ in self._steps)
+    def _kernel(self):
+        return compile_kernel((self,))
 
     def evaluate(self, pi) -> int | Fraction:
         """The sum of f(L) over the C-constrained m-subsets L of [n] on which
-        pi (one-line notation, pi[i-1] = pi(i)) maps L_u to L_v on every
-        edge u -> v, straight from the definition.
-
-        L_1 < ... < L_m are assigned in increasing order of support point,
-        following pi: a point forced adjacent to the one before it takes the
-        one candidate L_{i-1} + 1, the head of an edge u -> i from an earlier
-        point pi(L_u), and the tail of an edge i -> v to an earlier point
-        pi^-1(L_v), pi^-1 built only for such a tail; only the other points
-        range over [n].  Each point's adjacency, its edges to earlier points
-        and its fixed-point loop are checked as soon as it is placed.  A
-        constant weight counts the matches of the last point, building none,
-        and multiplies the count once; a polynomial weight is summed once
-        over the matches.  The sum is an int whenever it is an integer, as it
-        is for every weight with integer coefficients."""
-        n = len(pi)
-        steps = self._steps
-        m = len(steps)
-        if self._has_tail:
-            inverse = [0] * (n + 1)
-            for x, y in enumerate(pi, 1):
-                inverse[y] = x
-        constant = self._constant
-        count = 0 if m else 1  # the empty pattern has the one empty match
-        matches: list[tuple[int, ...]] = [()]
-        for i, (adjacent, head_of, tail_of, loop) in enumerate(steps):
-            hi = n - m + i + 1  # room is left for the points after i
-            counted = constant is not None and i == m - 1
-            placed = []
-            if adjacent or head_of is not None or tail_of is not None:
-                for L in matches:  # L is never empty: the first point is free
-                    x = (L[-1] + 1 if adjacent else pi[L[head_of] - 1] if head_of is not None
-                         else inverse[L[tail_of]])
-                    if not (L[-1] < x <= hi
-                            and (head_of is None or pi[L[head_of] - 1] == x)
-                            and (tail_of is None or pi[x - 1] == L[tail_of])
-                            and (not loop or pi[x - 1] == x)):
-                        continue
-                    if counted:
-                        count += 1
-                    else:
-                        placed.append(L + (x,))
-            else:
-                for L in matches:
-                    xs = range(L[-1] + 1 if L else 1, hi + 1)
-                    if loop:
-                        xs = [x for x in xs if pi[x - 1] == x]
-                    if counted:
-                        count += len(xs)
-                    else:
-                        for x in xs:
-                            placed.append(L + (x,))
-            matches = placed
-        total = count * constant if constant is not None else self.weight.sum_over(matches)
-        return total.numerator if total.denominator == 1 else total
+        pi (one-line notation) maps L_u to L_v on every edge u -> v, by this
+        translate's loop kernel: an int whenever it is an integer."""
+        return self._kernel(pi)
 
     def __str__(self) -> str:
         u = ",".join(map(str, self.packed.positions))
@@ -238,7 +169,7 @@ class RegularStatistic(Value):
     def __pow__(self, d: int) -> "RegularStatistic":
         """Psi^d, built once as Psi^(d-1) * Psi and kept; setdefault makes
         concurrent callers agree on one object."""
-        _check_exponent(d)
+        check_exponent(d)
         powers = self.__dict__.setdefault("_powers", {})
         out = self
         for k in range(2, d + 1):
@@ -252,7 +183,7 @@ class RegularStatistic(Value):
         Psi's own translates for d = 1 and from _product(Psi^(d-1), Psi)
         after, once and kept, while Psi^d is not; setdefault makes
         concurrent callers agree on one object."""
-        _check_exponent(d)
+        check_exponent(d)
         memo = self.__dict__.setdefault("_type_sums", {})
         known = memo.get(d)
         if known is not None:
@@ -265,13 +196,14 @@ class RegularStatistic(Value):
 
     # -- evaluation ---------------------------------------------------
 
+    @cached_property
+    def _kernel(self):
+        return compile_kernel(self.translates)
+
     def evaluate(self, pi) -> int | Fraction:
-        """Psi(pi), the sum of its translates' values: an int whenever every
-        weight coefficient is an integer."""
-        total = 0
-        for t in self.translates:
-            total += t.evaluate(pi)
-        return total
+        """Psi(pi) by one loop kernel for all its translates, compiled on the
+        first call and kept: an int whenever it is an integer."""
+        return self._kernel(pi)
 
     # -- moments ------------------------------------------------------
 
@@ -497,7 +429,8 @@ def _check_placements(left: RegularStatistic, right: RegularStatistic) -> None:
         )
 
 
-def _check_exponent(d: int) -> None:
+def check_exponent(d: int) -> None:
+    """Refuse a power below 1 (ValueError) or above MAX_EXPONENT."""
     if d < 1:
         raise ValueError("powers start at 1")
     if d > MAX_EXPONENT:

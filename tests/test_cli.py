@@ -210,6 +210,22 @@ class TestVerify:
             assert code == 2
             assert out == "" and "--nmax" in err
 
+    def test_malformed_arguments_before_the_cap(self, capsys):
+        # -d 0 and --nmax 0 are malformed whatever --nmax and -d are
+        for argv, flag in [(("--nmax", "9", "-d", "0"), "-d"),
+                           (("--nmax", "0", "-d", "101"), "--nmax")]:
+            code, out, err = run(capsys, "verify", "exc", *argv)
+            assert (code, out) == (2, "") and f"{flag} must be >= 1" in err
+
+    def test_exponent_over_the_cap_refused_at_once(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a power was built")
+
+        monkeypatch.setattr(translates, "_product", refuse)
+        code, out, err = run(capsys, "verify", "exc", "--nmax", "3", "-d", "101")
+        assert (code, out) == (3, "")
+        assert f"exponent 101 exceeds the cap {translates.MAX_EXPONENT}" in err
+
     def test_support_beyond_ground_set_needs_no_indicator(self, capsys, monkeypatch):
         # exc^3 has types with up to 6 path vertices, above a cap of 3; on
         # classes with n <= 2 they contribute 0 and their indicators are

@@ -8,20 +8,25 @@ import pytest
 from cycstat import translates
 from cycstat.dsl import parse_statistic
 from cycstat.errors import ParseError, ResourceLimitError
-from cycstat.oracle import descent_count, excedance_count, fixed_point_count, major_index
+from cycstat.oracle import (descent_count, excedance_count, fixed_point_count, inversion_count,
+                            major_index, two_cycle_count)
 from cycstat.patterns import des, exc, maj
 
 
 class TestBuiltins:
     def test_names(self):
+        # every named statistic against its definition on all of S_7
         for name, evaluator in [
             ("exc", excedance_count),
             ("des", descent_count),
             ("maj", major_index),
+            ("inv", inversion_count),
+            ("fix", fixed_point_count),
+            ("cyc2", two_cycle_count),
         ]:
             s = parse_statistic(name)
-            for w in permutations(range(1, 5)):
-                assert s.evaluate(w) == evaluator(w)
+            for w in permutations(range(1, 8)):
+                assert s.evaluate(w) == evaluator(w), (name, w)
 
     def test_patterns(self):
         s = parse_statistic("N(21;A={1})")

@@ -60,7 +60,7 @@ class TestClasses:
             assert len(members) == class_size(lam)
             assert all(cycle_type(w) == lam for w in members)
 
-    @pytest.mark.parametrize("n", range(8))
+    @pytest.mark.parametrize("n", range(9))
     def test_class_table_is_s_n_by_cycle_type(self, n):
         # the reference buckets every permutation by its cycle type; the
         # table grows S_n from S_(n-1) and must hold the same members once each

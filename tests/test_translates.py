@@ -10,9 +10,10 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from cycstat import translates
+from cycstat.cli import main
 from cycstat.errors import MalformedInputError, ResourceLimitError
 from cycstat.dsl import parse_statistic
-from cycstat.oracle import class_moment, partitions
+from cycstat.oracle import class_moment, fixed_point_count, partitions
 from cycstat.partial import PartialPermutation
 from cycstat.patterns import exc, maj
 from cycstat.poly import ONE, ZERO, Poly, mvar, xvar
@@ -178,6 +179,52 @@ class TestEvaluate:
                 value = t.evaluate(pi)
                 assert value == ref, (str(t), pi)
                 assert type(value) is (int if ref.denominator == 1 else Fraction), (str(t), pi)
+
+
+class TestKernel:
+    """The loop kernel past the interpreter's limits: nested loops, the
+    indentation depth, the int-string limit, and one compile per statistic."""
+
+    def test_more_free_points_than_nested_loops(self):
+        # the translate of 21 fixed points has 21 free points; CPython nests
+        # at most 20 loops in one function
+        s = parse_statistic("fix^21")
+        assert max(t.support_size for t in s.translates) == 21
+        for n in range(6):
+            for pi in permutations(range(1, n + 1)):
+                assert s.evaluate(pi) == fixed_point_count(pi) ** 21, pi
+        identity = tuple(range(1, 24))
+        assert s.evaluate(identity) == 23**21
+
+    def test_long_path_keeps_one_loop(self):
+        # 119 forced points after one free point: the guards do not indent
+        u, v = ",".join(map(str, range(1, 120))), ",".join(map(str, range(2, 121)))
+        s = parse_statistic(f"T(U=({u});V=({v});C={{}};f=1)")
+        cycle = tuple(range(2, 131)) + (1,)  # i -> i + 1 on [130]
+        assert s.evaluate(cycle) == 11 and s.translates[0].evaluate(cycle) == 11
+
+    @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 7999,
+                        reason="this interpreter converts a 7999-digit int to text")
+    def test_coefficient_longer_than_int_converts(self, capsys):
+        # over the common denominator the coefficient of exc has 7999 digits;
+        # the kernel takes it by name, and only printing the values refuses it
+        ones = "1" * 4000
+        assert main(["verify", f"{ones}*exc + 1/{ones}*fix", "--nmax", "3"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "a number of 7999 digits" in err
+
+    def test_verify_compiles_one_kernel(self, capsys, monkeypatch):
+        calls = []
+        compile_kernel = translates.compile_kernel
+
+        def counting(ts):
+            calls.append(len(ts))
+            return compile_kernel(ts)
+
+        monkeypatch.setattr(translates, "compile_kernel", counting)
+        assert main(["verify", "des", "--nmax", "5", "-d", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "36/36 cells passed"
+        assert calls == [len(parse_statistic("des").translates)]
 
 
 class TestExpectation:
