@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import indicator
 from .asymptotics import alpha_limit, variance_limit
@@ -24,7 +25,6 @@ from .errors import (
     ParseError,
     ResourceLimitError,
 )
-from .oracle import N_CAP, class_moment, partitions
 from .poly import decimal, to_json_dict, to_text
 from .translates import check_exponent
 
@@ -111,13 +111,21 @@ def _base_payload(args, stat) -> dict:
     }
 
 
+def _check_moment(args) -> None:
+    """moment's arguments before any work, as verify's: the malformed first,
+    --lambda parsed into a cycle type, then the exponent cap."""
+    if args.d < 1:
+        raise MalformedInputError("-d must be >= 1")
+    if args.variance and args.d != 2:
+        raise MalformedInputError("--variance requires -d 2")
+    if args.lam is not None:
+        args.lam = _parse_lambda(args.lam)
+    check_exponent(args.d)
+
+
 def _cmd_moment(args, stat) -> int:
     d = args.d
-    if d < 1:
-        raise MalformedInputError("-d must be >= 1")
     if args.variance:
-        if d != 2:
-            raise MalformedInputError("--variance requires -d 2")
         result = stat.variance()
         label = "variance"
     else:
@@ -132,7 +140,7 @@ def _cmd_moment(args, stat) -> int:
         lines.append(f"graded degree {degree} (bound {bound})")
         payload["result"] |= {"degree": str(degree), "bound": bound}
     if args.lam is not None:
-        lam = _parse_lambda(args.lam)
+        lam = args.lam
         if args.variance:
             value = stat.variance_at(lam)
         else:
@@ -174,6 +182,7 @@ def _cmd_limit(args, stat) -> int:
 
 def _check_verify(args) -> None:
     """verify's arguments before any work: the malformed first, then the caps."""
+    from .oracle import N_CAP
     if args.nmax < 1:
         raise MalformedInputError("--nmax must be >= 1")
     if args.d < 1:
@@ -183,7 +192,17 @@ def _check_verify(args) -> None:
     check_exponent(args.d)
 
 
+def class_moment(evaluator, lam, d: int = 1) -> Fraction:
+    """Exact average of evaluator(w)^d over the class of cycle type lam.
+    The powers are added as they come, exact ints for an int-valued
+    evaluator, and the sum is divided by the class size once."""
+    from .oracle import conjugacy_class
+    members = conjugacy_class(lam)
+    return Fraction(sum(evaluator(w) ** d for w in members)) / len(members)
+
+
 def _cmd_verify(args, stat) -> int:
+    from .oracle import partitions
     failures = 0
     cells = []
     for n in range(1, args.nmax + 1):
@@ -234,6 +253,8 @@ def _cmd_expand(args, stat) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.command == "moment":
+            _check_moment(args)
         if args.command == "verify":
             _check_verify(args)
         if args.cache:

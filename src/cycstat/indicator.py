@@ -169,7 +169,7 @@ def _read_disk(path: str) -> dict[CyclePathType, Poly]:
         if not isinstance(raw, dict):
             raise ValueError("not a JSON object")
         written = {CyclePathType.from_key(key): json.dumps(data) for key, data in raw.items()}
-    except (ValueError, IndexError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         # MalformedInputError is a ValueError; a RecursionError is nesting
         # deeper than json reads or writes
         raise MalformedInputError(f"{refused}: {exc}") from None

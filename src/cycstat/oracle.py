@@ -111,14 +111,6 @@ def conjugacy_class(lam) -> list:
     return class_table(sum(lam))[lam]
 
 
-def class_moment(evaluator, lam, d: int = 1) -> Fraction:
-    """Exact average of evaluator(w)^d over the class of cycle type lam.
-    The powers are added as they come, exact ints for an int-valued
-    evaluator, and the sum is divided by the class size once."""
-    members = conjugacy_class(lam)
-    return Fraction(sum(evaluator(w) ** d for w in members)) / len(members)
-
-
 def compile_kernel(translates):
     """pi -> the sum of the translates' values at pi, an int whenever it is
     an integer, as generated Python: a translate's points L_1 < ... < L_m

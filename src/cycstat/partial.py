@@ -87,15 +87,19 @@ class CyclePathType(Value):
 
     @classmethod
     def from_key(cls, key: str) -> "CyclePathType":
-        """Inverse of key; refuses a string key does not write, e.g. "mu=[1,2];nu=[]"."""
-        mu, nu = key.split(";")
+        """Inverse of key; refuses as a bad type key every string key does not
+        write, e.g. "mu=[1,2];nu=[]"."""
 
         def parse(chunk: str) -> tuple[int, ...]:
             inner = chunk.split("[", 1)[1].rstrip("]")
             return tuple(int(x) for x in inner.split(",") if x)
 
-        t = cls(parse(mu), parse(nu))
-        if t.key != key:
+        try:
+            mu, nu = key.split(";")
+            t = cls(parse(mu), parse(nu))
+        except (ValueError, IndexError):  # MalformedInputError is a ValueError
+            t = None
+        if t is None or t.key != key:
             raise MalformedInputError(f"bad type key {key!r}")
         return t
 

@@ -38,7 +38,6 @@ from types import MappingProxyType
 from .errors import InternalConsistencyError, MalformedInputError, ResourceLimitError
 from .expectation import RationalExpectation, ZERO_EXPECTATION, evaluation_point
 from .indicator import check_bell_cap, indicator_moment
-from .oracle import compile_kernel
 from .partial import (CyclePathType, PartialPermutation, component_type, covering_injections,
                       placements, push_adjacencies)
 from .poly import ZERO, Poly, as_poly, to_text, WEIGHT_VARS
@@ -104,7 +103,7 @@ class ConstrainedTranslate(Value):
 
     @cached_property
     def _kernel(self):
-        return compile_kernel((self,))
+        return _compile_kernel((self,))
 
     def evaluate(self, pi) -> int | Fraction:
         """The sum of f(L) over the C-constrained m-subsets L of [n] on which
@@ -198,7 +197,7 @@ class RegularStatistic(Value):
 
     @cached_property
     def _kernel(self):
-        return compile_kernel(self.translates)
+        return _compile_kernel(self.translates)
 
     def evaluate(self, pi) -> int | Fraction:
         """Psi(pi) by one loop kernel for all its translates, compiled on the
@@ -284,6 +283,13 @@ def class_value(sums: Mapping[CyclePathType, Poly], lam) -> Fraction:
             f = indicator_moment(t)
             total += S.evaluate(point) * f.evaluate(point) / perm(n, m)
     return total
+
+
+def _compile_kernel(translates):
+    """oracle.compile_kernel, imported at the first evaluation, so that no
+    command but verify loads oracle."""
+    from .oracle import compile_kernel
+    return compile_kernel(translates)
 
 
 def _over_falling(pairs) -> RationalExpectation:

@@ -12,11 +12,10 @@ from fractions import Fraction
 from itertools import permutations
 
 from cycstat.asymptotics import alpha_limit, variance_limit
-from cycstat.cli import main as cli_main
+from cycstat.cli import class_moment, main as cli_main
 from cycstat.expectation import evaluation_point
 from cycstat.indicator import c_poly, indicator_moment
 from cycstat.oracle import (
-    class_moment,
     compatible_function_count,
     descent_count,
     excedance_count,

@@ -75,6 +75,31 @@ def test_import_leaves_out_dataclasses_and_inspect():
     assert done.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("statement, loaded", [
+    ("pass", False),
+    ("main(['moment', 'exc', '-d', '2'])", False),
+    ("main(['moment', 'exc', '--lambda', '3,2'])", False),
+    ("main(['limit', 'exc', '--variance'])", False),
+    ("main(['expand', 'exc'])", False),
+    ("main(['verify', 'exc', '--nmax', '3'])", True),
+    ("cycstat.exc().evaluate((2, 1))", True),
+], ids=["import", "moment", "moment-lambda", "limit", "expand", "verify", "evaluate"])
+def test_only_evaluation_loads_the_oracle(statement, loaded):
+    # the brute-force oracle is verify's: every other command is spared
+    # compiling it at start-up
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import cycstat.cli; "
+        f"from cycstat.cli import main; {statement}; "
+        "print('cycstat.oracle' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SRC)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str(loaded)
+
+
 def test_readme_cli_block_matches_parser():
     # the first text block under "## CLI": one line per subcommand, then the
     # common flags, which every subcommand takes
@@ -155,6 +180,22 @@ class TestMoment:
         assert exc.value.code == 2
         capsys.readouterr()
         assert run(capsys, "moment", "--", "-2*des") == run(capsys, "moment", "0 - 2*des")
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (("-d", "0", "--variance", "--lambda", "x"), 2, "-d must be >= 1"),
+        (("-d", "3", "--variance", "--lambda", "x"), 2, "--variance requires -d 2"),
+        (("--lambda", "3,x", "-d", "101"), 2, "bad cycle type '3,x'"),
+        (("--lambda", "2,0", "-d", "101"), 2, "cycle lengths must be positive"),
+        (("-d", "101", "--lambda", "2,1"), 3, "exponent 101 exceeds the cap"),
+    ], ids=["d-0", "variance-d-3", "lambda-letter", "lambda-0", "d-101"])
+    def test_malformed_arguments_before_the_cap(self, tmp_path, capsys, argv, code, message):
+        # the malformed first, then the exponent cap, and both before a
+        # --cache file that is no cache and a statistic that does not parse
+        path = tmp_path / "cache.json"
+        path.write_text("not json")
+        got, out, err = run(capsys, "moment", "bogus(", "--cache", str(path), *argv)
+        assert (got, out) == (code, "") and message in err
+        assert err.count("\n") == 1
 
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "moment", "exc", "-d", "1", "--json", "--lambda", "3")
@@ -631,8 +672,15 @@ WRONG_AT_K6 = (
     b' {"coef": "8", "exps": {"m1": 1, "m2": 2}}, {"coef": "12", "exps": {"m2": 1, "m3": 1}},'
     b' {"coef": "7", "exps": {"m2": 3}}, {"coef": "8", "exps": {"m2": 1, "m4": 1}}]}}'
 )
-# the type each wrong entry names
-NAMED_TYPE = {EXTRA_M2: "mu=[];nu=[1,1]", WRONG_AT_K6: "mu=[2];nu=[2,2]"}
+# keys that split or parse badly are refused as keys, not by Python's own
+# message
+BAD_KEYS = {
+    b'{"bad": 1}': "bad type key 'bad'",
+    b'{"mu=[];nu=[1];x=1": 1}': "bad type key 'mu=[];nu=[1];x=1'",
+    b'{"mu=[a];nu=[]": 1}': "bad type key 'mu=[a];nu=[]'",
+}
+# the type or key each wrong entry's message names
+NAMED_TYPE = {EXTRA_M2: "mu=[];nu=[1,1]", WRONG_AT_K6: "mu=[2];nu=[2,2]", **BAD_KEYS}
 
 
 class TestDiskCache:
@@ -741,6 +789,7 @@ class TestDiskCache:
             # right polynomial of that type (2*m1*m2 and 2*m2)
             b'{"mu=[1,2];nu=[]": {"terms": [{"coef": "2", "exps": {"m1": 1, "m2": 1}}]}}',
             b'{"mu=[ 2];nu=[]": {"terms": [{"coef": "2", "exps": {"m2": 1}}]}}',
+            *BAD_KEYS,
             pytest.param(EXTRA_M2, id="extra-m2-term"),
             pytest.param(WRONG_AT_K6, id="wrong-coefficient-at-k6"),
             # nesting deeper than json reads, of the file and of one entry

@@ -9,10 +9,10 @@ from math import factorial
 import pytest
 
 from cycstat import oracle
+from cycstat.cli import class_moment
 from cycstat.errors import InternalConsistencyError, ResourceLimitError
 from cycstat.oracle import (
     bivincular_count,
-    class_moment,
     class_size,
     class_table,
     compatible_function_count,

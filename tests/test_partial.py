@@ -85,7 +85,8 @@ class TestCyclePathType:
             assert CyclePathType.from_key(t.key) == t
 
     @pytest.mark.parametrize(
-        "key", ["mu=[1,2];nu=[]", "mu=[ 2];nu=[]", "mu=[2,];nu=[]", "mu=[];nu=[+1]", "mu=[];nu=[1]]"]
+        "key", ["mu=[1,2];nu=[]", "mu=[ 2];nu=[]", "mu=[2,];nu=[]", "mu=[];nu=[+1]", "mu=[];nu=[1]]",
+                "bad", "mu=[];nu=[1];x=1", "mu=[a];nu=[]", "mu=[0];nu=[]", "mu=1;nu=[]"]
     )
     def test_from_key_refuses_a_key_not_written(self, key):
         with pytest.raises(MalformedInputError, match="bad type key"):

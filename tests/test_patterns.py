@@ -4,11 +4,11 @@ from itertools import combinations, permutations
 
 import pytest
 
+from cycstat.cli import class_moment
 from cycstat.dsl import parse_statistic
 from cycstat.errors import MalformedInputError
 from cycstat.oracle import (
     bivincular_count,
-    class_moment,
     descent_count,
     excedance_count,
     fixed_point_count,
