@@ -8,7 +8,6 @@ engine certifies failed, which would falsify one of the structural claims).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -202,17 +201,17 @@ def class_moment(evaluator, lam, d: int = 1) -> Fraction:
 
 
 def _cmd_verify(args, stat) -> int:
-    from .oracle import partitions
+    from .oracle import conjugacy_class, partitions
     failures = 0
     cells = []
     for n in range(1, args.nmax + 1):
         for lam in partitions(n):
-            # each permutation of the class is evaluated once for all d; a
-            # cache per class holds one class's values at a time
-            evaluate = functools.cache(stat.evaluate)
+            # each member is evaluated once, and every d reads its value back
+            members = conjugacy_class(lam)
+            value = dict(zip(members, map(stat.evaluate, members))).__getitem__
             for d in range(1, args.d + 1):
                 engine = stat.moment_at(lam, d)
-                oracle = class_moment(evaluate, lam, d)
+                oracle = class_moment(value, lam, d)
                 ok = engine == oracle
                 failures += 0 if ok else 1
                 cells.append((lam, d, ok, engine, oracle))

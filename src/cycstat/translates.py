@@ -32,7 +32,7 @@ from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
-from math import perm
+from math import lcm, perm, prod
 from types import MappingProxyType
 
 from .errors import InternalConsistencyError, MalformedInputError, ResourceLimitError
@@ -40,7 +40,7 @@ from .expectation import RationalExpectation, ZERO_EXPECTATION, evaluation_point
 from .indicator import check_bell_cap, indicator_moment
 from .partial import (CyclePathType, PartialPermutation, component_type, covering_injections,
                       placements, push_adjacencies)
-from .poly import ZERO, Poly, as_poly, to_text, WEIGHT_VARS
+from .poly import ZERO, Poly, as_poly, integerize, to_text, WEIGHT_VARS
 from .sums import constrained_sum
 from .value import Value
 
@@ -228,9 +228,13 @@ class RegularStatistic(Value):
         return result
 
     def moment_at(self, lam, d: int = 1) -> Fraction:
-        """E_lambda[Psi^d] as an exact rational, valid for every n (small
-        ground sets included)."""
-        return class_value(self.type_sums(d), lam)
+        """E_lambda[Psi^d] exactly, for every n (small ground sets too), from
+        rows of type_sums(d) kept per d; setdefault makes callers agree."""
+        rows = self.__dict__.setdefault("_class_rows", {}).get(d)
+        if rows is None:
+            rows = [[t, integerize(S), None] for t, S in self.type_sums(d).items()]
+            rows = self._class_rows.setdefault(d, rows)
+        return class_value(rows, lam)
 
     def variance_at(self, lam) -> Fraction:
         mean = self.moment_at(lam, 1)
@@ -270,19 +274,26 @@ def uniform_expectation(sums: Mapping[CyclePathType, Poly]) -> RationalExpectati
     return _over_falling((t.size, S) for t, S in sums.items())
 
 
-def class_value(sums: Mapping[CyclePathType, Poly], lam) -> Fraction:
-    """Exact E_lambda at the cycle type lam, for every n.  A type of support
-    m > n contributes 0, since [n] has no m-subsets (the symbolic ratio is
-    0/0 there), so its indicator polynomial is never computed."""
+def class_value(rows, lam) -> Fraction:
+    """Exact E_lambda at the cycle type lam, for every n: S * f / (n)_m over
+    rows [t, S, f], S and f as (P, D), P in ints, added over one denominator.
+    A type of support m > n adds 0 ([n] has no m-subsets; the ratio is 0/0),
+    so only a class with n >= m fetches its f, which reads m_i to t.size."""
     n = sum(lam)
-    point = evaluation_point(lam, max((t.size for t in sums), default=0))
-    total = Fraction(0)
-    for t, S in sums.items():
-        m = t.support_size
-        if m <= n:
-            f = indicator_moment(t)
-            total += S.evaluate(point) * f.evaluate(point) / perm(n, m)
-    return total
+    point = evaluation_point(lam, max((row[0].size for row in rows), default=0))
+    parts = []  # (m, S * f at lam over its denominator, the denominator)
+    for row in rows:
+        t, (S, s_den), f = row
+        if t.support_size <= n:
+            if f is None:
+                f = row[2] = integerize(indicator_moment(t))
+            value = prod(sum(c * prod(map(pow, point, e)) for e, c in P.terms.items())
+                         for P in (S, f[0]))
+            parts.append((t.support_size, value, s_den * f[1]))
+    top = max((m for m, _, _ in parts), default=0)
+    den = lcm(*(d for _, _, d in parts))
+    return Fraction(sum(v * (den // d) * perm(n - m, top - m) for m, v, d in parts),
+                    den * perm(n, top))
 
 
 def _compile_kernel(translates):

@@ -15,13 +15,13 @@ from cycstat.asymptotics import alpha_limit, variance_limit
 from cycstat.cli import class_moment, main as cli_main
 from cycstat.expectation import evaluation_point
 from cycstat.indicator import c_poly, indicator_moment
-from cycstat.oracle import (
+from cycstat.oracle import partitions
+from cycstat.reference import (
     compatible_function_count,
     descent_count,
     excedance_count,
     injection_count,
     major_index,
-    partitions,
 )
 from cycstat.partial import PartialPermutation
 from cycstat.patterns import des, exc, maj, pattern_count

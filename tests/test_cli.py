@@ -16,7 +16,7 @@ from cycstat import indicator, sums, translates
 from cycstat.cli import _build_parser, main
 from cycstat.dsl import parse_statistic
 from cycstat.expectation import RationalExpectation
-from cycstat.oracle import descent_count
+from cycstat.reference import descent_count
 from cycstat.partial import CyclePathType, placements
 from cycstat.poly import ONE, to_json_dict
 from cycstat.translates import RegularStatistic
@@ -83,21 +83,23 @@ def test_import_leaves_out_dataclasses_and_inspect():
     ("main(['expand', 'exc'])", False),
     ("main(['verify', 'exc', '--nmax', '3'])", True),
     ("cycstat.exc().evaluate((2, 1))", True),
-], ids=["import", "moment", "moment-lambda", "limit", "expand", "verify", "evaluate"])
+    ("import cycstat.oracle", True),
+], ids=["import", "moment", "moment-lambda", "limit", "expand", "verify", "evaluate",
+        "import-oracle"])
 def test_only_evaluation_loads_the_oracle(statement, loaded):
     # the brute-force oracle is verify's: every other command is spared
-    # compiling it at start-up
+    # compiling it at start-up, and the tests' reference is loaded by none
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import cycstat.cli; "
         f"from cycstat.cli import main; {statement}; "
-        "print('cycstat.oracle' in sys.modules)"
+        "print('cycstat.oracle' in sys.modules, 'cycstat.reference' in sys.modules)"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", code, str(SRC)],
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == str(loaded)
+    assert done.stdout.splitlines()[-1] == f"{loaded} False"
 
 
 def test_readme_cli_block_matches_parser():

@@ -8,8 +8,8 @@ import pytest
 from cycstat import translates
 from cycstat.dsl import parse_statistic
 from cycstat.errors import ParseError, ResourceLimitError
-from cycstat.oracle import (descent_count, excedance_count, fixed_point_count, inversion_count,
-                            major_index, two_cycle_count)
+from cycstat.reference import (descent_count, excedance_count, fixed_point_count, inversion_count,
+                               major_index, two_cycle_count)
 from cycstat.patterns import des, exc, maj
 
 

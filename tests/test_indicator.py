@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from cycstat import indicator, oracle
+from cycstat import indicator, reference
 from cycstat.errors import (
     InternalConsistencyError,
     MalformedInputError,
@@ -32,7 +32,8 @@ from cycstat.indicator import (
     path_count_poly,
 )
 from cycstat.contraction import contract
-from cycstat.oracle import injection_count, compatible_function_count, partitions
+from cycstat.oracle import partitions
+from cycstat.reference import injection_count, compatible_function_count
 from cycstat.partial import CyclePathType, PartialPermutation
 from cycstat.poly import N, ONE, Poly, mvar, to_json_dict
 from cycstat.setpartitions import set_partitions
@@ -137,7 +138,7 @@ class TestUnrestrictedCount:
 
     def test_matches_direct_count(self):
         # arbitrary edge-respecting functions, counted by brute force
-        from cycstat.oracle import representative
+        from cycstat.reference import representative
 
         t = CyclePathType((2,), (1,))
         rep = t.representative()
@@ -471,8 +472,8 @@ class TestDiskCache:
         def no_oracle(*args, **kwargs):
             raise AssertionError("the oracle ran on a support-16 entry")
 
-        monkeypatch.setattr(oracle, "injection_count", no_oracle)
-        monkeypatch.setattr(oracle, "compatible_function_count", no_oracle)
+        monkeypatch.setattr(reference, "injection_count", no_oracle)
+        monkeypatch.setattr(reference, "compatible_function_count", no_oracle)
         assert indicator._read_disk(str(path)) == {t: indicator_moment(t)}
 
     @pytest.mark.parametrize("name", ["warm-expansion", "verify-grid", "weighted-sums"])

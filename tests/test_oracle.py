@@ -11,12 +11,10 @@ import pytest
 from cycstat import oracle
 from cycstat.cli import class_moment
 from cycstat.errors import InternalConsistencyError, ResourceLimitError
-from cycstat.oracle import (
+from cycstat.oracle import class_size, class_table, conjugacy_class, partitions
+from cycstat.reference import (
     bivincular_count,
-    class_size,
-    class_table,
     compatible_function_count,
-    conjugacy_class,
     cycle_type,
     descent_count,
     excedance_count,
@@ -24,7 +22,6 @@ from cycstat.oracle import (
     injection_count,
     inversion_count,
     major_index,
-    partitions,
     representative,
     two_cycle_count,
 )

@@ -7,14 +7,14 @@ import pytest
 from cycstat.cli import class_moment
 from cycstat.dsl import parse_statistic
 from cycstat.errors import MalformedInputError
-from cycstat.oracle import (
+from cycstat.oracle import partitions
+from cycstat.reference import (
     bivincular_count,
     descent_count,
     excedance_count,
     fixed_point_count,
     inversion_count,
     major_index,
-    partitions,
     two_cycle_count,
 )
 from cycstat.patterns import (

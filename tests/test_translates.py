@@ -5,6 +5,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import permutations
+from math import perm
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -13,7 +14,10 @@ from cycstat import oracle, translates
 from cycstat.cli import class_moment, main
 from cycstat.errors import MalformedInputError, ResourceLimitError
 from cycstat.dsl import parse_statistic
-from cycstat.oracle import fixed_point_count, partitions
+from cycstat.expectation import evaluation_point
+from cycstat.indicator import indicator_moment
+from cycstat.oracle import partitions
+from cycstat.reference import fixed_point_count
 from cycstat.partial import PartialPermutation
 from cycstat.patterns import exc, maj
 from cycstat.poly import ONE, ZERO, Poly, mvar, xvar
@@ -396,6 +400,56 @@ class TestMoments:
         s = RegularStatistic((EXC_T,))
         e = s.uniform_moment(1).normalized()
         assert all(not any(x for x in exps[1:]) for exps in e.num.terms)
+
+
+def fraction_class_value(sums, lam) -> Fraction:
+    """E_lambda at lam by one Fraction per type, S and f each evaluated as a
+    Fraction: the reference for the class values moment_at builds in ints."""
+    n = sum(lam)
+    point = evaluation_point(lam, max((t.size for t in sums), default=0))
+    total = Fraction(0)
+    for t, S in sums.items():
+        m = t.support_size
+        if m <= n:
+            f = indicator_moment(t)
+            total += S.evaluate(point) * f.evaluate(point) / perm(n, m)
+    return total
+
+
+CLASS_VALUES = [
+    ("exc", 3), ("des", 2), ("maj", 2), ("inv", 2), ("N(12)", 2),
+    ("biv(21;A={1};B={};f=x1^2;g=x2^2)", 2), ("T(U=(1,2);V=(2,1);C={};f=1/2)", 3),
+]
+
+
+class TestClassValue:
+    @pytest.mark.parametrize("expr, dmax", CLASS_VALUES, ids=[e for e, _ in CLASS_VALUES])
+    def test_ints_equal_fractions(self, expr, dmax):
+        s = parse_statistic(expr)
+        for d in range(1, dmax + 1):
+            for n in range(1, 9):
+                for lam in partitions(n):
+                    value = s.moment_at(lam, d)
+                    assert type(value) is Fraction
+                    assert value == fraction_class_value(s.type_sums(d), lam), (d, lam)
+
+    def test_indicator_fetched_once_per_type_and_order(self, capsys, monkeypatch):
+        # exc^3 has types of up to 6 points; verify up to n = 2 fetches f
+        # only for the types of at most 2 points, each once per order d
+        calls = []
+        original = translates.indicator_moment
+
+        def recording(t):
+            calls.append(t)
+            return original(t)
+
+        monkeypatch.setattr(translates, "indicator_moment", recording)
+        assert main(["verify", "exc", "--nmax", "2", "-d", "3"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "9/9 cells passed"
+        s = exc()
+        fetched = [t for d in (1, 2, 3) for t in s.type_sums(d) if t.support_size <= 2]
+        assert all(t.support_size <= 2 for t in calls)
+        assert sorted(calls, key=str) == sorted(fetched, key=str)
 
 
 class TestPowers:
