@@ -19,6 +19,7 @@ from .indicator import (
     configure_disk_cache,
     indicator_expectation,
     indicator_moment,
+    write_disk_cache,
 )
 from .partial import CyclePathType, PartialPermutation
 from .patterns import (
@@ -69,6 +70,7 @@ __all__ = [
     "pattern_count",
     "translate_product",
     "variance_limit",
+    "write_disk_cache",
 ]
 
 __version__ = "0.1.0"

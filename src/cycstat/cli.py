@@ -256,19 +256,16 @@ def main(argv=None) -> int:
             _check_moment(args)
         if args.command == "verify":
             _check_verify(args)
-        if args.cache:
+        if args.cache is not None:
             indicator.configure_disk_cache(args.cache)
-        # the types a command computes reach the --cache file in one
-        # rewrite as it ends, by an exit 3 or 4 too
-        with indicator.deferred_cache_writes():
-            stat = parse_statistic(args.expr)
-            if args.command == "moment":
-                return _cmd_moment(args, stat)
-            if args.command == "limit":
-                return _cmd_limit(args, stat)
-            if args.command == "verify":
-                return _cmd_verify(args, stat)
-            return _cmd_expand(args, stat)
+        stat = parse_statistic(args.expr)
+        if args.command == "moment":
+            return _cmd_moment(args, stat)
+        if args.command == "limit":
+            return _cmd_limit(args, stat)
+        if args.command == "verify":
+            return _cmd_verify(args, stat)
+        return _cmd_expand(args, stat)
     except (ParseError, MalformedInputError, DegenerateEvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -278,6 +275,10 @@ def main(argv=None) -> int:
     except (InternalConsistencyError, DivergenceError) as exc:
         print(f"consistency violation: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
+    finally:
+        # the types the command computed reach the --cache file in one
+        # write as it ends, by an exit 3 or 4 too
+        indicator.write_disk_cache()
 
 
 if __name__ == "__main__":

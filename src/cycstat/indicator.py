@@ -40,7 +40,7 @@ from .errors import InternalConsistencyError, MalformedInputError, ResourceLimit
 from .expectation import evaluation_point
 from .partial import CyclePathType, PartialPermutation
 from .poly import N, ONE, ZERO, Poly, mvar, to_json_dict
-from .setpartitions import bell_number, set_partitions
+from .setpartitions import set_partitions
 
 # most path vertices |nu| + l(nu) of one type, a limit kept from the Moebius
 # loop over their Bell(P) set partitions (the arc count visits Bell(l(nu)),
@@ -65,76 +65,54 @@ def c_poly(t: CyclePathType) -> Poly:
 
 
 def check_bell_cap(t: CyclePathType) -> None:
-    """A pre-flight guard on the path vertices, run before any polynomial is built."""
+    """A pre-flight guard on the path vertices, run before any polynomial is
+    built.  Its message names Bell(P) but does not compute it."""
     p = sum(t.paths) + len(t.paths)
     if p > BELL_CAP:
         raise ResourceLimitError(
-            f"path-vertex count {p} exceeds the Bell cap {BELL_CAP} "
-            f"(Bell({p}) = {bell_number(p)} set partitions)"
+            f"path-vertex count {p} exceeds the Bell cap {BELL_CAP} (Bell({p}) set partitions)"
         )
 
 
-class _MomentCache:
-    """In-process cache with single-flight computation and an optional
-    on-disk JSON mirror, rewritten after each computed type, or once when
-    the calling thread's outermost deferred_writes scope exits."""
+# the process-wide memo of f by type: under the lock one thread computes a
+# type while the others wait.  _disk is the configured --cache file, its
+# path and the types read from it, kept until write_disk_cache writes there.
+_LOCK = threading.Lock()
+_MEMO: dict[CyclePathType, Poly] = {}
+_disk: tuple[str, frozenset] | None = None
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._data: dict[CyclePathType, Poly] = {}
-        self._disk_path: str | None = None
-        self._scopes = threading.local()  # .depth: this thread's open scopes
-        self._unwritten = False  # a type computed since the last write
 
-    def configure_disk(self, path: str | None) -> None:
-        with self._lock:
-            loaded = {} if path is None else _read_disk(path)
-            self._disk_path = path
+def configure_disk_cache(path: str | None) -> None:
+    """Read the --cache file at path into the memo, each entry recomputed,
+    and keep the path for write_disk_cache; None forgets the path."""
+    global _disk
+    with _LOCK:
+        _disk = None
+        if path is not None:
+            loaded = _read_disk(path)
             for t, poly in loaded.items():
-                self._data.setdefault(t, poly)
-            # written only when this process holds a type the file lacks
-            if path is not None and not self._data.keys() <= loaded.keys():
-                self._flush_locked()
+                _MEMO.setdefault(t, poly)
+            _disk = path, frozenset(loaded)
 
-    def get_or_compute(self, t: CyclePathType) -> Poly:
-        check_bell_cap(t)  # a cached type is refused like a new one
-        with self.deferred_writes(), self._lock:
-            hit = self._data.get(t)
-            if hit is not None:
-                return hit
-            poly = _compute(t)
-            self._data[t] = poly
-            self._unwritten = self._disk_path is not None
-            return poly
 
-    @contextlib.contextmanager
-    def deferred_writes(self):
-        """A scope whose computed types reach the disk in one rewrite when
-        this thread's outermost scope exits, by an exception too, so the
-        file ends as a rewrite per type would leave it.  The depth is kept
-        per thread: another thread's lone call still writes through."""
-        scopes = self._scopes
-        scopes.depth = getattr(scopes, "depth", 0) + 1
-        try:
-            yield
-        finally:
-            scopes.depth -= 1
-            if not scopes.depth:
-                with self._lock:
-                    if self._unwritten:
-                        self._flush_locked()
-
-    def _flush_locked(self) -> None:
-        self._unwritten = False
-        payload = {t.key: to_json_dict(poly) for t, poly in self._data.items()}
+def write_disk_cache() -> None:
+    """Write the memo to the configured --cache file, only when it holds a
+    type the file lacks, and forget the path, so the file is written once."""
+    global _disk
+    with _LOCK:
+        disk, _disk = _disk, None
+        if disk is None or _MEMO.keys() <= disk[1]:
+            return
+        path = disk[0]
+        payload = {t.key: to_json_dict(poly) for t, poly in _MEMO.items()}
         # written aside and renamed over the cache, so a failed write leaves
         # the previous file whole; the pid keeps processes sharing one cache
         # out of each other's temporary file
-        tmp = f"{self._disk_path}.{os.getpid()}.tmp"
+        tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w") as fh:
                 fh.write(json.dumps(payload))
-            os.replace(tmp, self._disk_path)
+            os.replace(tmp, path)
         except OSError:
             # the rename did not happen, so a temporary file may be left
             with contextlib.suppress(OSError):
@@ -145,9 +123,11 @@ def _read_disk(path: str) -> dict[CyclePathType, Poly]:
     """The entries of a cache file, each recomputed; a missing file in an
     existing directory or an empty file is an empty cache.  Any other path
     but a readable regular file is refused before it is read (a FIFO opens
-    without blocking), and so is anything but a JSON object whose every entry
-    is to_json_dict of its type's polynomial, written as json.dumps writes it
-    (so true or 1.0 is no exponent 1)."""
+    without blocking, and "" names no file), and so is anything but a JSON
+    object whose every entry is to_json_dict of its type's polynomial,
+    written as json.dumps writes it (so true or 1.0 is no exponent 1)."""
+    if not path:
+        raise MalformedInputError("cache file '' cannot be opened: the path is empty")
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     except FileNotFoundError:
@@ -182,22 +162,14 @@ def _read_disk(path: str) -> dict[CyclePathType, Poly]:
     return entries
 
 
-_CACHE = _MomentCache()
-
-
-def configure_disk_cache(path: str | None) -> None:
-    _CACHE.configure_disk(path)
-
-
-def deferred_cache_writes():
-    """A scope in which the types indicator_moment computes are written to
-    the --cache file once, at its exit, not once per type."""
-    return _CACHE.deferred_writes()
-
-
 def indicator_moment(t: CyclePathType) -> Poly:
-    """f_{(mu,nu)}, cached by type; f / (n)_m is the expectation."""
-    return _CACHE.get_or_compute(t)
+    """f_{(mu,nu)}, memoised by type; f / (n)_m is the expectation."""
+    check_bell_cap(t)  # a memoised type is refused like a new one
+    with _LOCK:
+        poly = _MEMO.get(t)
+        if poly is None:
+            poly = _MEMO[t] = _compute(t)
+        return poly
 
 
 def _compute(t: CyclePathType) -> Poly:

@@ -1,7 +1,6 @@
 """Command-line interface: output forms and the exit-code contract."""
 
 import argparse
-import contextlib
 import json
 import os
 import re
@@ -274,7 +273,7 @@ class TestVerify:
         # classes with n <= 2 they contribute 0 and their indicators are
         # never built.  An empty cache, so that no type other tests cached
         # stands in for one this run builds.
-        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        monkeypatch.setattr(indicator, "_MEMO", {})
         monkeypatch.setattr(indicator, "BELL_CAP", 3)
         code, out, _ = run(capsys, "verify", "exc", "--nmax", "2", "-d", "3")
         assert code == 0
@@ -432,7 +431,7 @@ class TestExitCodes:
 
     def test_consistency_violation_names_the_type(self, capsys, monkeypatch):
         # without its cycle factor, mu=[2];nu=[1] has graded degree 1, not 3
-        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        monkeypatch.setattr(indicator, "_MEMO", {})
         monkeypatch.setattr(indicator, "_cycle_factor", lambda cycles: ONE)
         code, out, err = run(capsys, "moment", "T(U=(1,2,3);V=(2,1,4);C={};f=1)")
         assert (code, out) == (4, "")
@@ -593,7 +592,7 @@ class TestExitCodes:
     ])
     def test_bell_cap_range(self, capsys, monkeypatch, cap, code, message):
         # fix^2 has no path vertex, so any cap admits it
-        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        monkeypatch.setattr(indicator, "_MEMO", {})
         monkeypatch.setattr(indicator, "BELL_CAP", int(cap))
         got, out, err = run(capsys, "moment", "fix", "-d", "2")
         assert got == code and message in err
@@ -606,7 +605,7 @@ class TestExitCodes:
         assert "unrecognized arguments: --bell-cap 12" in capsys.readouterr().err
 
     def test_bell_cap_zero_admits_no_path(self, capsys, monkeypatch):
-        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        monkeypatch.setattr(indicator, "_MEMO", {})
         monkeypatch.setattr(indicator, "BELL_CAP", 0)
         code, out, err = run(capsys, "moment", "exc")
         assert code == 3
@@ -614,7 +613,7 @@ class TestExitCodes:
 
     def test_bell_cap_checked_before_any_polynomial(self, capsys, monkeypatch):
         # N(123) has types of 6 path vertices, and of fewer that come first
-        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        monkeypatch.setattr(indicator, "_MEMO", {})
         monkeypatch.setattr(indicator, "BELL_CAP", 5)
         computed = []
         compute = indicator._compute
@@ -688,7 +687,7 @@ NAMED_TYPE = {EXTRA_M2: "mu=[];nu=[1,1]", WRONG_AT_K6: "mu=[2];nu=[2,2]", **BAD_
 class TestDiskCache:
     @pytest.fixture
     def fresh_cache(self, monkeypatch):
-        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        monkeypatch.setattr(indicator, "_MEMO", {})
 
     def test_cache_round_trip(self, tmp_path, capsys):
         path = str(tmp_path / "cache.json")
@@ -705,29 +704,30 @@ class TestDiskCache:
         ("limit", "des", "--variance"), ("verify", "exc", "--nmax", "4", "-d", "2"),
     ])
     def test_one_rewrite_per_command(self, tmp_path, capsys, monkeypatch, argv):
-        # the file a rewrite per computed type leaves, from an empty cache
-        path = tmp_path / "cache.json"
-        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        # the types a run without --cache computes, in the order it computes
+        # them, from an empty memo
+        computed = []
+        compute = indicator._compute
         with monkeypatch.context() as m:
-            m.setattr(indicator, "deferred_cache_writes", contextlib.nullcontext)
-            code, per_type, _ = run(capsys, *argv, "--cache", str(path))
-        assert code == 0
-        written = path.read_bytes()
-        path.unlink()
+            m.setattr(indicator, "_MEMO", {})
+            m.setattr(indicator, "_compute", lambda t: computed.append(t) or compute(t))
+            code, uncached, _ = run(capsys, *argv)
+        assert code == 0 and computed
+        path = tmp_path / "cache.json"
         replaced = []
         real_replace = os.replace
         monkeypatch.setattr(os, "replace", lambda a, b: (replaced.append(b), real_replace(a, b)))
-        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        monkeypatch.setattr(indicator, "_MEMO", {})
         code, out, _ = run(capsys, *argv, "--cache", str(path))
-        assert (code, out) == (0, per_type)
+        assert (code, out) == (0, uncached)
         assert replaced == [str(path)]
-        assert path.read_bytes() == written
+        assert path.read_text() == json.dumps({t.key: to_json_dict(compute(t)) for t in computed})
 
     def test_exit_3_keeps_the_types_computed_before_it(self, tmp_path, capsys, monkeypatch):
         # verify computes each type as a class reaches it: the one edge of
         # d = 1 is written in one rewrite when a type of d = 2 exceeds the cap
         path = tmp_path / "cache.json"
-        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        monkeypatch.setattr(indicator, "_MEMO", {})
         monkeypatch.setattr(indicator, "BELL_CAP", 2)
         replaced = []
         real_replace = os.replace
@@ -740,10 +740,10 @@ class TestDiskCache:
     def test_bell_cap_applies_to_cached_types(self, tmp_path, capsys, monkeypatch):
         # each run gets its own in-process cache, as separate processes would
         path = str(tmp_path / "cache.json")
-        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        monkeypatch.setattr(indicator, "_MEMO", {})
         code, _, _ = run(capsys, "moment", "exc", "-d", "3", "--cache", path)
         assert code == 0
-        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        monkeypatch.setattr(indicator, "_MEMO", {})
         monkeypatch.setattr(indicator, "BELL_CAP", 3)
         code, out, err = run(capsys, "moment", "exc", "-d", "3", "--cache", path)
         assert code == 3
@@ -839,7 +839,7 @@ class TestDiskCache:
         content = json.dumps(
             {t.key: to_json_dict(indicator.indicator_moment(t)) for t in types}, indent=2
         ).encode()
-        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        monkeypatch.setattr(indicator, "_MEMO", {})
         path = tmp_path / "cache.json"
         path.write_bytes(content)
         code, out, _ = run(capsys, "moment", "exc", "--cache", str(path))
@@ -896,3 +896,41 @@ class TestDiskCache:
         assert (code, out) == (2, "")
         assert f"cache file {path} cannot be opened" in err
         assert list(tmp_path.iterdir()) == [path] and path.is_symlink()
+
+    def test_empty_path_refused(self, tmp_path, capsys, monkeypatch, fresh_cache):
+        # was skipped as no --cache at all: exit 0, and nothing cached
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "moment", "exc", "--cache", "")
+        assert (code, out) == (2, "")
+        assert "cache file '' cannot be opened" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_later_command_leaves_the_file_alone(self, tmp_path, capsys, fresh_cache):
+        # the path was kept past the command that named it, so a later
+        # command without --cache wrote its own types into the file
+        path = tmp_path / "cache.json"
+        assert run(capsys, "moment", "exc", "--cache", str(path))[0] == 0
+        content = path.read_bytes()
+        assert run(capsys, "moment", "des")[0] == 0
+        assert path.read_bytes() == content
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("length", [2000, 20000])
+    def test_long_path_key_exits_3_at_once(self, tmp_path, length):
+        # the cap's message printed Bell(P): Bell(2001) has more digits than
+        # an int converts to a string (a traceback, exit 1), and Bell(20001)
+        # ran for minutes
+        path = tmp_path / "cache.json"
+        content = f'{{"mu=[];nu=[{length}]": {{"terms": []}}}}'.encode()
+        path.write_bytes(content)
+        start = time.perf_counter()
+        done = run_process("moment", "exc", "--cache", str(path), timeout=30)
+        assert time.perf_counter() - start < 10
+        assert (done.returncode, done.stdout) == (3, "")
+        assert "Traceback" not in done.stderr
+        p = length + 1
+        assert done.stderr == (
+            f"resource limit: path-vertex count {p} exceeds the Bell cap 12 "
+            f"(Bell({p}) set partitions)\n"
+        )
+        assert path.read_bytes() == content

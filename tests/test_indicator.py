@@ -11,6 +11,7 @@ import json
 import os
 import re
 import threading
+import time
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -281,7 +282,7 @@ class TestArcCount:
         # without its factor c the count of one arc is 1 on every long
         # enough cycle, which is not linear in c
         original = indicator._arcs
-        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        monkeypatch.setattr(indicator, "_MEMO", {})
         monkeypatch.setattr(indicator, "_arcs", lambda sizes, c: original(sizes, c) // c)
         assert main(["moment", "exc"]) == 4
         captured = capsys.readouterr()
@@ -295,7 +296,7 @@ class TestCycleFactorisation:
 
     @pytest.fixture
     def fresh_cache(self, monkeypatch):
-        monkeypatch.setattr(indicator, "_CACHE", indicator._MomentCache())
+        monkeypatch.setattr(indicator, "_MEMO", {})
 
     @pytest.fixture
     def partition_sizes(self, fresh_cache, monkeypatch):
@@ -357,30 +358,37 @@ class TestCycleFactorisation:
 
 
 class TestDiskCache:
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self, monkeypatch):
+        """An empty memo and no configured file, put back after the test."""
+        monkeypatch.setattr(indicator, "_MEMO", {})
+        monkeypatch.setattr(indicator, "_disk", None)
+
     def test_atomic_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.json"
-        cache = indicator._MomentCache()
-        cache.configure_disk(str(path))
-        cache.get_or_compute(CyclePathType((1,), ()))
+        indicator.configure_disk_cache(str(path))
+        indicator_moment(CyclePathType((1,), ()))
+        indicator.write_disk_cache()
         before = path.read_bytes()
         assert json.loads(before) == {"mu=[1];nu=[]": {"terms": [{"coef": "1", "exps": {"m1": 1}}]}}
 
-        # the cache encodes with json.dumps after opening its temporary file
+        # the write encodes with json.dumps after opening its temporary file
         def failing_dumps(obj):
             raise OSError(errno.ENOSPC, "No space left on device")
 
+        indicator.configure_disk_cache(str(path))
         monkeypatch.setattr(json, "dumps", failing_dumps)
-        result = cache.get_or_compute(CyclePathType((), (1,)))
-        assert result == N - mvar(1)
+        assert indicator_moment(CyclePathType((), (1,))) == N - mvar(1)
+        indicator.write_disk_cache()
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["cache.json"]
 
     def test_written_file_is_json_dumps_of_entries(self, tmp_path):
         path = tmp_path / "cache.json"
-        cache = indicator._MomentCache()
-        cache.configure_disk(str(path))
+        indicator.configure_disk_cache(str(path))
         types = [CyclePathType((1,), ()), CyclePathType((), (1,)), CyclePathType((2,), (2, 1))]
-        entries = {t.key: to_json_dict(cache.get_or_compute(t)) for t in types}
+        entries = {t.key: to_json_dict(indicator_moment(t)) for t in types}
+        indicator.write_disk_cache()
         assert path.read_text() == json.dumps(entries)
 
     def test_written_file_is_not_removed(self, tmp_path, monkeypatch):
@@ -389,77 +397,73 @@ class TestDiskCache:
         removed = []
         monkeypatch.setattr(os, "remove", removed.append)
         path = tmp_path / "cache.json"
-        cache = indicator._MomentCache()
-        cache.configure_disk(str(path))
-        cache.get_or_compute(CyclePathType((1,), ()))
+        indicator.configure_disk_cache(str(path))
+        indicator_moment(CyclePathType((1,), ()))
+        indicator.write_disk_cache()
         assert removed == []
         assert os.listdir(tmp_path) == ["cache.json"]
 
-    def test_deferred_scope_writes_once_at_its_exit(self, tmp_path, monkeypatch):
+    def test_one_write_then_the_path_is_forgotten(self, tmp_path, monkeypatch):
         replaced = []
         real_replace = os.replace
         monkeypatch.setattr(os, "replace", lambda a, b: (replaced.append(b), real_replace(a, b)))
         path = tmp_path / "cache.json"
-        cache = indicator._MomentCache()
-        cache.configure_disk(str(path))
-        types = [CyclePathType((1,), ()), CyclePathType((), (1,)), CyclePathType((2,), (2, 1))]
-        with cache.deferred_writes():
-            with cache.deferred_writes():  # an inner scope's exit writes nothing
-                entries = {t.key: to_json_dict(cache.get_or_compute(t)) for t in types[:2]}
-            entries[types[2].key] = to_json_dict(cache.get_or_compute(types[2]))
-            assert replaced == [] and not path.exists()
-        assert replaced == [str(path)]
-        # what a rewrite per type leaves (test_written_file_is_json_dumps_of_entries)
-        assert path.read_text() == json.dumps(entries)
-        # a hit writes nothing; a lone computed type is written through
-        with cache.deferred_writes():
-            cache.get_or_compute(types[0])
-        assert len(replaced) == 1
-        lone = CyclePathType((), (2,))
-        entries[lone.key] = to_json_dict(cache.get_or_compute(lone))
-        assert len(replaced) == 2 and path.read_text() == json.dumps(entries)
+        indicator.configure_disk_cache(str(path))
+        types = [CyclePathType((1,), ()), CyclePathType((), (1,))]
+        entries = {t.key: to_json_dict(indicator_moment(t)) for t in types}
+        assert replaced == [] and not path.exists()  # nothing is written through
+        indicator.write_disk_cache()
+        assert replaced == [str(path)] and path.read_text() == json.dumps(entries)
+        indicator_moment(CyclePathType((), (2,)))
+        indicator.write_disk_cache()
+        assert len(replaced) == 1 and path.read_text() == json.dumps(entries)
 
-    def test_deferred_scope_holds_back_only_its_own_threads_writes(self, tmp_path):
+    def test_one_thread_computes_a_type(self, monkeypatch):
+        # the others wait under the lock and read its result
+        computed = []
+        compute = indicator._compute
+
+        def slow(t):
+            computed.append(t)
+            time.sleep(0.05)
+            return compute(t)
+
+        monkeypatch.setattr(indicator, "_compute", slow)
+        t = CyclePathType((2,), (1,))
+        barrier = threading.Barrier(4, timeout=60)
+        results = [None] * 4
+
+        def ask(i):
+            barrier.wait()
+            results[i] = indicator_moment(t)
+
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert computed == [t]
+        assert all(r is results[0] for r in results) and results[0] is not None
+
+    def test_exit_4_keeps_the_types_computed_before_it(self, tmp_path, capsys, monkeypatch):
+        # the one edge of d = 1 is computed before a wrong path factor fails
+        # the certificate of a type of d = 2 (the exit 3 case is in
+        # tests/test_cli.py)
         path = tmp_path / "cache.json"
-        cache = indicator._MomentCache()
-        cache.configure_disk(str(path))
-        opened, lone_done = threading.Event(), threading.Event()
-
-        def hold_a_scope():
-            with cache.deferred_writes():
-                opened.set()
-                lone_done.wait(timeout=60)
-
-        holder = threading.Thread(target=hold_a_scope)
-        holder.start()
-        try:
-            assert opened.wait(timeout=60)
-            t = CyclePathType((1,), ())
-            cache.get_or_compute(t)
-            assert json.loads(path.read_text()) == {t.key: to_json_dict(mvar(1))}
-        finally:
-            lone_done.set()
-            holder.join(timeout=60)
-
-    def test_deferred_scope_writes_when_left_by_an_exception(self, tmp_path):
-        path = tmp_path / "cache.json"
-        cache = indicator._MomentCache()
-        cache.configure_disk(str(path))
-        t = CyclePathType((1,), ())
-        with pytest.raises(ResourceLimitError):
-            with cache.deferred_writes():
-                cache.get_or_compute(t)
-                raise ResourceLimitError("a later type is refused")
-        assert json.loads(path.read_text()) == {t.key: to_json_dict(mvar(1))}
+        original = indicator.path_count_poly
+        monkeypatch.setattr(indicator, "path_count_poly", lambda t: original(t) if t.size < 2 else ONE)
+        code = main(["verify", "exc", "--nmax", "3", "-d", "2", "--cache", str(path)])
+        assert code == 4 and "consistency violation" in capsys.readouterr().err
+        assert list(json.loads(path.read_text())) == [CyclePathType((), (1,)).key]
 
     def test_types_computed_before_configuring_are_written(self, tmp_path):
         path = tmp_path / "cache.json"
         on_disk = CyclePathType((1,), ())
         path.write_text(json.dumps({on_disk.key: to_json_dict(mvar(1))}))
-        cache = indicator._MomentCache()
         in_process = CyclePathType((), (1,))
-        cache.get_or_compute(in_process)
-        cache.configure_disk(str(path))
+        indicator_moment(in_process)
+        indicator.configure_disk_cache(str(path))
+        indicator.write_disk_cache()
         assert indicator._read_disk(str(path)) == {on_disk: mvar(1), in_process: N - mvar(1)}
 
     def test_large_cycle_entry_loads_without_oracle(self, tmp_path, monkeypatch):
