@@ -7,8 +7,6 @@ engine certifies failed, which would falsify one of the structural claims).
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -34,49 +32,10 @@ EXIT_RESOURCE = 3
 EXIT_CONSISTENCY = 4
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cycstat",
-        description="Exact moment polynomials of regular permutation "
-        "statistics by conjugacy class.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("expr", help="statistic expression, e.g. 'maj' or "
-                       "'T(U=(1);V=(2);C={};f=1)'")
-        p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--cache", metavar="PATH",
-                       help="JSON disk cache for indicator polynomials")
-
-    p = sub.add_parser("moment", help="symbolic d-th class moment")
-    common(p)
-    p.add_argument("-d", type=int, default=1, dest="d", help="moment order")
-    p.add_argument("--lambda", dest="lam", metavar="a,b,c",
-                   help="evaluate at this cycle type")
-    p.add_argument("--variance", action="store_true",
-                   help="report the class variance instead of the raw moment")
-
-    p = sub.add_parser("limit", help="scaled asymptotic mean or variance")
-    common(p)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--mean", action="store_true")
-    group.add_argument("--variance", action="store_true")
-
-    p = sub.add_parser("verify", help="compare against brute force on all "
-                       "classes up to --nmax")
-    common(p)
-    p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("-d", type=int, default=1, dest="d", help="largest moment order")
-
-    p = sub.add_parser("expand", help="print the canonical translate expansion")
-    common(p)
-    return parser
-
-
 def _parse_lambda(text: str) -> tuple[int, ...]:
+    from .cmdline import ascii_int
     try:
-        lam = tuple(int(x) for x in text.split(","))
+        lam = tuple(ascii_int(x) for x in text.split(","))
     except ValueError:
         raise MalformedInputError(f"bad cycle type {text!r}; expected e.g. 4,2,1")
     if any(x < 1 for x in lam):
@@ -89,6 +48,8 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
     and stdout then points at os.devnull so the exit flush is quiet too."""
     try:
         if args.json:
+            import json  # only --json output uses it
+
             print(json.dumps(payload, indent=2))
         else:
             for line in text_lines:
@@ -250,7 +211,15 @@ def _cmd_expand(args, stat) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    from .cmdline import USAGE, parse_args
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    except MalformedInputError as exc:
+        print(f"{USAGE}error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    if args is None:
+        print(USAGE, end="")
+        return EXIT_OK
     try:
         if args.command == "moment":
             _check_moment(args)

@@ -24,7 +24,6 @@ type, so the file saves no work and is never trusted.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import stat
 import threading
@@ -69,8 +68,12 @@ def check_bell_cap(t: CyclePathType) -> None:
     built.  Its message names Bell(P) but does not compute it."""
     p = sum(t.paths) + len(t.paths)
     if p > BELL_CAP:
+        # a --cache key's path lengths may each have the 4300 digits int
+        # reads, and their count more than it writes: such a P is not printed
+        count, bell = (p, p) if p <= 10**18 else ("above 10^18", "P")
         raise ResourceLimitError(
-            f"path-vertex count {p} exceeds the Bell cap {BELL_CAP} (Bell({p}) set partitions)"
+            f"path-vertex count {count} exceeds the Bell cap {BELL_CAP} "
+            f"(Bell({bell}) set partitions)"
         )
 
 
@@ -103,6 +106,10 @@ def write_disk_cache() -> None:
         disk, _disk = _disk, None
         if disk is None or _MEMO.keys() <= disk[1]:
             return
+        # json is imported by the two functions that read and write the
+        # file, so a command without --cache or with an empty file skips it
+        import json
+
         path = disk[0]
         payload = {t.key: to_json_dict(poly) for t, poly in _MEMO.items()}
         # written aside and renamed over the cache, so a failed write leaves
@@ -143,6 +150,8 @@ def _read_disk(path: str) -> dict[CyclePathType, Poly]:
         text = fh.read()
     if not text.strip():
         return {}
+    import json
+
     refused = f"cache file {path} is not a cycstat cache"
     try:
         raw = json.loads(text)

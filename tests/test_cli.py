@@ -1,6 +1,5 @@
 """Command-line interface: output forms and the exit-code contract."""
 
-import argparse
 import json
 import os
 import re
@@ -11,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from cycstat import indicator, sums, translates
-from cycstat.cli import _build_parser, main
+from cycstat import cmdline, indicator, sums, translates
+from cycstat.cli import main
 from cycstat.dsl import parse_statistic
 from cycstat.expectation import RationalExpectation
 from cycstat.reference import descent_count
@@ -59,12 +58,19 @@ def closed_pipe() -> int:
     return write
 
 
+# argparse loads gettext, and gettext's catalog lookups locale: cycstat
+# reads its own command line, so no command pays for the three
+UNUSED = {"argparse", "dataclasses", "gettext", "inspect", "locale"}
+
+
 def test_import_leaves_out_dataclasses_and_inspect():
     # every command is a fresh interpreter, so each module cycstat.cli pulls
-    # in is paid on every run; -S keeps site-packages' .pth hooks out
+    # in is paid on every run; -S keeps site-packages' .pth hooks out.  json
+    # is loaded only for --json output and a --cache file that is not empty,
+    # and cycstat.cmdline only once main reads a command line
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import cycstat.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+        f"print(sorted({UNUSED | {'json', 'cycstat.cmdline'}} & sys.modules.keys()))"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", code, str(SRC)],
@@ -72,6 +78,27 @@ def test_import_leaves_out_dataclasses_and_inspect():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["moment", "exc", "-d", "2"],
+    ["limit", "exc", "--variance"],
+    ["verify", "exc", "--nmax", "3"],
+    ["expand", "exc", "--json"],
+    ["--help"],
+    ["moment", "exc", "--bell-cap", "12"],
+], ids=["moment", "limit", "verify", "expand", "help", "usage-error"])
+def test_commands_leave_out_argparse_gettext_and_locale(argv):
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from cycstat.cli import main; "
+        f"main({argv!r}); print(sorted({UNUSED} & sys.modules.keys()))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SRC)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("statement, loaded", [
@@ -102,26 +129,21 @@ def test_only_evaluation_loads_the_oracle(statement, loaded):
 
 
 def test_readme_cli_block_matches_parser():
-    # the first text block under "## CLI": one line per subcommand, then the
-    # common flags, which every subcommand takes
+    # the first text block under "## CLI" is what --help prints: one line
+    # per command, then the common flags, which every command takes
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    assert block == cmdline.USAGE
     documented, common = {}, set()
     for line in block.splitlines():
-        flags = set(re.findall(r"--[a-z][a-z-]*", line))
+        flags = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", line))
         if line.startswith("cycstat "):
             documented[line.split()[1]] = flags
         else:
             common |= flags
-    (subparsers,) = [
-        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    ]
-    assert documented.keys() == subparsers.choices.keys()
-    for name, sub in subparsers.choices.items():
-        options = {
-            s for a in sub._actions for s in a.option_strings if s.startswith("--")
-        }
-        assert documented[name] | common == options - {"--help"}, name
+    assert documented.keys() == cmdline.OPTIONS.keys()
+    for name, options in cmdline.OPTIONS.items():
+        assert documented[name] | common == options.keys() - {"-h", "--help"}, name
 
 
 class TestMoment:
@@ -175,11 +197,10 @@ class TestMoment:
         assert run(capsys, *argv) == (0, expected, "")
 
     def test_leading_minus_follows_double_dash(self, capsys):
-        # argparse reads an argument that begins with '-' as an option
-        with pytest.raises(SystemExit) as exc:
-            main(["moment", "-2*des"])
-        assert exc.value.code == 2
-        capsys.readouterr()
+        # an argument that begins with '-' is read as an option
+        code, out, err = run(capsys, "moment", "-2*des")
+        assert (code, out) == (2, "")
+        assert err == cmdline.USAGE + "error: the following arguments are required: expr\n"
         assert run(capsys, "moment", "--", "-2*des") == run(capsys, "moment", "0 - 2*des")
 
     @pytest.mark.parametrize("argv, code, message", [
@@ -230,9 +251,9 @@ class TestLimit:
         assert "V1(alpha) = 0" in out and "V2(alpha) = 0" in out
 
     def test_mean_or_variance_required(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["limit", "exc"])
-        assert exc.value.code == 2
+        code, out, err = run(capsys, "limit", "exc")
+        assert (code, out) == (2, "")
+        assert err.endswith("\nerror: one of the arguments --mean --variance is required\n")
 
 
 class TestVerify:
@@ -599,10 +620,9 @@ class TestExitCodes:
         assert out.startswith("moment d=2: m1^2")
 
     def test_bell_cap_is_no_option(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["moment", "fix", "-d", "2", "--bell-cap", "12"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --bell-cap 12" in capsys.readouterr().err
+        code, out, err = run(capsys, "moment", "fix", "-d", "2", "--bell-cap", "12")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --bell-cap 12" in err
 
     def test_bell_cap_zero_admits_no_path(self, capsys, monkeypatch):
         monkeypatch.setattr(indicator, "_MEMO", {})
@@ -932,5 +952,20 @@ class TestDiskCache:
         assert done.stderr == (
             f"resource limit: path-vertex count {p} exceeds the Bell cap 12 "
             f"(Bell({p}) set partitions)\n"
+        )
+        assert path.read_bytes() == content
+
+    def test_path_count_longer_than_int_prints_exits_3(self, tmp_path):
+        # a path of 4300 nines, the longest int reads: its count of path
+        # vertices has 4301 digits, more than int converts to text, and
+        # printing it was a traceback with exit 1
+        path = tmp_path / "cache.json"
+        content = f'{{"mu=[];nu=[{"9" * 4300}]": {{"terms": []}}}}'.encode()
+        path.write_bytes(content)
+        done = run_process("moment", "exc", "--cache", str(path), timeout=30)
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == (
+            "resource limit: path-vertex count above 10^18 exceeds the Bell cap 12 "
+            "(Bell(P) set partitions)\n"
         )
         assert path.read_bytes() == content
