@@ -7,6 +7,7 @@ engine certifies failed, which would falsify one of the structural claims).
 
 from __future__ import annotations
 
+import errno
 import os
 import sys
 from fractions import Fraction
@@ -15,7 +16,6 @@ from . import indicator
 from .asymptotics import alpha_limit, variance_limit
 from .dsl import parse_statistic
 from .errors import (
-    DegenerateEvaluationError,
     DivergenceError,
     InternalConsistencyError,
     MalformedInputError,
@@ -43,22 +43,32 @@ def _parse_lambda(text: str) -> tuple[int, ...]:
     return tuple(sorted(lam, reverse=True))
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    """Print the result; a reader that has closed stdout gets nothing more,
-    and stdout then points at os.devnull so the exit flush is quiet too."""
+def _write(stream, text: str) -> None:
+    """Write text to stream, sys.stdout or sys.stderr, and flush it.  A stream
+    that is None, whose descriptor is closed, or whose reader has gone gets
+    nothing more, and its descriptor then points at os.devnull so the exit
+    flush is quiet too; any other OSError, a full disk say, still fails."""
+    if stream is None:
+        return
     try:
-        if args.json:
-            import json  # only --json output uses it
-
-            print(json.dumps(payload, indent=2))
-        else:
-            for line in text_lines:
-                print(line)
-        sys.stdout.flush()
-    except BrokenPipeError:
+        stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        if exc.errno not in (errno.EPIPE, errno.EBADF):
+            raise
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
+
+
+def _emit(args, payload: dict, text_lines: list[str]) -> None:
+    if args.json:
+        import json  # only --json output uses it
+
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        text = "".join(f"{line}\n" for line in text_lines)
+    _write(sys.stdout, text)
 
 
 def _base_payload(args, stat) -> dict:
@@ -215,10 +225,10 @@ def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
     except MalformedInputError as exc:
-        print(f"{USAGE}error: {exc}", file=sys.stderr)
+        _write(sys.stderr, f"{USAGE}error: {exc}\n")
         return EXIT_PARSE
     if args is None:
-        print(USAGE, end="")
+        _write(sys.stdout, USAGE)
         return EXIT_OK
     try:
         if args.command == "moment":
@@ -235,14 +245,14 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args, stat)
         return _cmd_expand(args, stat)
-    except (ParseError, MalformedInputError, DegenerateEvaluationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ParseError, MalformedInputError) as exc:
+        _write(sys.stderr, f"error: {exc}\n")
         return EXIT_PARSE
     except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+        _write(sys.stderr, f"resource limit: {exc}\n")
         return EXIT_RESOURCE
     except (InternalConsistencyError, DivergenceError) as exc:
-        print(f"consistency violation: {exc}", file=sys.stderr)
+        _write(sys.stderr, f"consistency violation: {exc}\n")
         return EXIT_CONSISTENCY
     finally:
         # the types the command computed reach the --cache file in one

@@ -14,7 +14,7 @@ class MalformedInputError(CycstatError, ValueError):
 
 
 class ResourceLimitError(CycstatError):
-    """A computation would exceed a configured cap (e.g. Bell-number cap)."""
+    """A computation would exceed a configured cap (e.g. the path-vertex cap)."""
 
 
 class InternalConsistencyError(CycstatError):

@@ -39,13 +39,12 @@ from .errors import InternalConsistencyError, MalformedInputError, ResourceLimit
 from .expectation import evaluation_point
 from .partial import CyclePathType, PartialPermutation
 from .poly import N, ONE, ZERO, Poly, mvar, to_json_dict
-from .setpartitions import set_partitions
 
-# most path vertices |nu| + l(nu) of one type, a limit kept from the Moebius
-# loop over their Bell(P) set partitions (the arc count visits Bell(l(nu)),
-# l(nu) <= 6).  Read at each call, so a test can lower it.  A --cache entry
-# of a type above it exits 3 on load, as the type does when it is asked for.
-BELL_CAP = 12
+# most path vertices |nu| + l(nu) of one type, so l(nu) <= 6 and the arc
+# count visits at most Bell(6) = 203 set partitions of the paths.  Read at
+# each call, so a test can lower it.  A --cache entry of a type above it
+# exits 3 on load, as the type does when it is asked for.
+PATH_VERTEX_CAP = 12
 
 
 def c_poly(t: CyclePathType) -> Poly:
@@ -63,17 +62,13 @@ def c_poly(t: CyclePathType) -> Poly:
     return out
 
 
-def check_bell_cap(t: CyclePathType) -> None:
+def check_path_vertices(t: CyclePathType) -> None:
     """A pre-flight guard on the path vertices, run before any polynomial is
-    built.  Its message names Bell(P) but does not compute it."""
-    p = sum(t.paths) + len(t.paths)
-    if p > BELL_CAP:
-        # a --cache key's path lengths may each have the 4300 digits int
-        # reads, and their count more than it writes: such a P is not printed
-        count, bell = (p, p) if p <= 10**18 else ("above 10^18", "P")
+    built.  The message names the type, which prints as its --cache key was
+    read, and not the count, which may have more digits than int writes."""
+    if sum(t.paths) + len(t.paths) > PATH_VERTEX_CAP:
         raise ResourceLimitError(
-            f"path-vertex count {count} exceeds the Bell cap {BELL_CAP} "
-            f"(Bell({bell}) set partitions)"
+            f"type {t.key} has more than {PATH_VERTEX_CAP} path vertices"
         )
 
 
@@ -164,7 +159,7 @@ def _read_disk(path: str) -> dict[CyclePathType, Poly]:
         raise MalformedInputError(f"{refused}: {exc}") from None
     entries = {}
     for t, data in written.items():
-        check_bell_cap(t)
+        check_path_vertices(t)
         entries[t] = _compute(t)
         if json.dumps(to_json_dict(entries[t])) != data:
             raise MalformedInputError(f"{refused}: entry {t.key} is not the polynomial of its type")
@@ -173,7 +168,7 @@ def _read_disk(path: str) -> dict[CyclePathType, Poly]:
 
 def indicator_moment(t: CyclePathType) -> Poly:
     """f_{(mu,nu)}, memoised by type; f / (n)_m is the expectation."""
-    check_bell_cap(t)  # a memoised type is refused like a new one
+    check_path_vertices(t)  # a memoised type is refused like a new one
     with _LOCK:
         poly = _MEMO.get(t)
         if poly is None:
@@ -222,8 +217,30 @@ def path_count_poly(t: CyclePathType) -> Poly:
     return out
 
 
+def set_partitions(m: int):
+    """Yield every partition of [m] exactly once, as a tuple of increasing
+    blocks ordered by least element, in lexicographic order of the
+    restricted-growth string: each element joins every existing block in
+    turn, then opens a new one."""
+    blocks: list[list[int]] = []
+
+    def place(x: int):
+        if x > m:
+            yield tuple(map(tuple, blocks))
+            return
+        for block in blocks:
+            block.append(x)
+            yield from place(x + 1)
+            block.pop()
+        blocks.append([x])
+        yield from place(x + 1)
+        blocks.pop()
+
+    yield from place(1)
+
+
 # process-wide memos, keyed by point counts and cycle lengths: both stay
-# small, since no block has more than BELL_CAP points
+# small, since no block has more than PATH_VERTEX_CAP points
 @cache
 def _block_weight(sizes: tuple[int, ...]) -> Poly:
     """W(B) = sum over the permutation's cycles of g_B(c).  For c >= S, g_B

@@ -37,7 +37,7 @@ from types import MappingProxyType
 
 from .errors import InternalConsistencyError, MalformedInputError, ResourceLimitError
 from .expectation import RationalExpectation, ZERO_EXPECTATION, evaluation_point
-from .indicator import check_bell_cap, indicator_moment
+from .indicator import check_path_vertices, indicator_moment
 from .partial import (CyclePathType, PartialPermutation, component_type, covering_injections,
                       placements, push_adjacencies)
 from .poly import ZERO, Poly, as_poly, integerize, to_text, WEIGHT_VARS
@@ -262,10 +262,10 @@ class RegularStatistic(Value):
 
 def class_expectation(sums: Mapping[CyclePathType, Poly]) -> RationalExpectation:
     """E_lambda symbolically: for each support size m, sum S * f over the
-    types and normalise over (n)_m once.  Every type is held to the Bell cap
-    before any f is computed."""
+    types and normalise over (n)_m once.  Every type is held to the
+    path-vertex cap before any f is computed."""
     for t in sums:
-        check_bell_cap(t)
+        check_path_vertices(t)
     return _over_falling((t.support_size, S * indicator_moment(t)) for t, S in sums.items())
 
 

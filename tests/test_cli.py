@@ -70,14 +70,21 @@ def test_import_leaves_out_dataclasses_and_inspect():
     # and cycstat.cmdline only once main reads a command line
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import cycstat.cli; "
-        f"print(sorted({UNUSED | {'json', 'cycstat.cmdline'}} & sys.modules.keys()))"
+        f"print(sorted({UNUSED | {'json', 'cycstat.cmdline'}} & sys.modules.keys())); "
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'cycstat'))"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", code, str(SRC)],
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    unused, loaded = done.stdout.splitlines()
+    assert unused == "[]"
+    # the fourteen modules every command compiles
+    assert loaded.split() == ["cycstat"] + [f"cycstat.{name}" for name in (
+        "asymptotics", "cli", "contraction", "dsl", "errors", "expectation", "indicator",
+        "partial", "patterns", "poly", "sums", "translates", "value",
+    )]
 
 
 @pytest.mark.parametrize("argv", [
@@ -295,7 +302,7 @@ class TestVerify:
         # never built.  An empty cache, so that no type other tests cached
         # stands in for one this run builds.
         monkeypatch.setattr(indicator, "_MEMO", {})
-        monkeypatch.setattr(indicator, "BELL_CAP", 3)
+        monkeypatch.setattr(indicator, "PATH_VERTEX_CAP", 3)
         code, out, _ = run(capsys, "verify", "exc", "--nmax", "2", "-d", "3")
         assert code == 0
         assert out.splitlines()[-1] == "9/9 cells passed"
@@ -465,7 +472,7 @@ class TestExitCodes:
         assert out == "" and "translate pattern (1)(3) is not packed" in err
 
     def test_resource_limit(self, capsys):
-        # seven 1-edge paths: 14 path vertices, above the Bell cap of 12
+        # seven 1-edge paths: 14 path vertices, above the cap of 12
         code, _, err = run(
             capsys, "moment", "T(U=(1,2,3,4,5,6,7);V=(8,9,10,11,12,13,14);C={};f=1)"
         )
@@ -614,7 +621,7 @@ class TestExitCodes:
     def test_bell_cap_range(self, capsys, monkeypatch, cap, code, message):
         # fix^2 has no path vertex, so any cap admits it
         monkeypatch.setattr(indicator, "_MEMO", {})
-        monkeypatch.setattr(indicator, "BELL_CAP", int(cap))
+        monkeypatch.setattr(indicator, "PATH_VERTEX_CAP", int(cap))
         got, out, err = run(capsys, "moment", "fix", "-d", "2")
         assert got == code and message in err
         assert out.startswith("moment d=2: m1^2")
@@ -626,21 +633,22 @@ class TestExitCodes:
 
     def test_bell_cap_zero_admits_no_path(self, capsys, monkeypatch):
         monkeypatch.setattr(indicator, "_MEMO", {})
-        monkeypatch.setattr(indicator, "BELL_CAP", 0)
+        monkeypatch.setattr(indicator, "PATH_VERTEX_CAP", 0)
         code, out, err = run(capsys, "moment", "exc")
         assert code == 3
-        assert out == "" and "Bell cap 0" in err
+        assert out == ""
+        assert err == "resource limit: type mu=[];nu=[1] has more than 0 path vertices\n"
 
     def test_bell_cap_checked_before_any_polynomial(self, capsys, monkeypatch):
         # N(123) has types of 6 path vertices, and of fewer that come first
         monkeypatch.setattr(indicator, "_MEMO", {})
-        monkeypatch.setattr(indicator, "BELL_CAP", 5)
+        monkeypatch.setattr(indicator, "PATH_VERTEX_CAP", 5)
         computed = []
         compute = indicator._compute
         monkeypatch.setattr(indicator, "_compute", lambda t: computed.append(t) or compute(t))
         code, out, err = run(capsys, "moment", "N(123)")
         assert (code, out) == (3, "")
-        assert "path-vertex count 6 exceeds the Bell cap 5" in err
+        assert err == "resource limit: type mu=[];nu=[1,1,1] has more than 5 path vertices\n"
         assert computed == []
 
     def test_bad_moment_order(self, capsys):
@@ -649,8 +657,9 @@ class TestExitCodes:
 
 
 class TestClosedStdout:
-    """A reader that closes stdout early ends the output, not the command:
-    no traceback, and the command's own exit code."""
+    """A reader that closes stdout early, or a standard stream closed before
+    the command starts, ends the output, not the command: no traceback, and
+    the command's own exit code."""
 
     @pytest.mark.parametrize("argv", [
         ("moment", "exc", "-d", "2"),
@@ -666,6 +675,38 @@ class TestClosedStdout:
         assert done.returncode == 0
         assert "Traceback" not in done.stderr
         assert done.stderr == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("moment", "exc"),
+        ("verify", "exc", "--nmax", "2"),
+    ], ids=["moment", "verify"])
+    def test_closed_stdout_descriptor(self, argv):
+        # the interpreter starts with sys.stdout None, which printed nothing
+        # and then failed to flush it (a traceback, exit 1)
+        done = run_process(*argv, timeout=60, preexec_fn=lambda: os.close(1))
+        assert (done.returncode, done.stderr) == (0, "")
+
+    def test_closed_stderr_descriptor(self):
+        # with sys.stderr None, print wrote the error line to stdout, and
+        # with a descriptor that is closed it raised (a traceback, exit 1)
+        done = run_process("moment", "bogus(", timeout=60, preexec_fn=lambda: os.close(2))
+        assert (done.returncode, done.stdout) == (2, "")
+
+    def test_stderr_not_open_for_writing(self, monkeypatch):
+        # a descriptor open only for reading fails with EBADF, as a closed
+        # one does when the interpreter reused its number at start-up
+        with open(os.open(os.devnull, os.O_RDONLY), "w") as stderr:
+            monkeypatch.setattr(sys, "stderr", stderr)
+            assert main(["moment", "bogus("]) == 2
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_disk_still_fails(self):
+        # only a closed stream is forgiven: any other write error, such as
+        # ENOSPC, still ends the command with a traceback
+        with open("/dev/full", "w") as full:
+            done = run_process("moment", "exc", timeout=60, stdout=full)
+        assert done.returncode == 1
+        assert "OSError: [Errno 28]" in done.stderr
 
     def test_failing_verify_still_exits_1(self, monkeypatch):
         # as TestVerify.test_failing_cell: the oracle evaluates des, not exc
@@ -748,12 +789,13 @@ class TestDiskCache:
         # d = 1 is written in one rewrite when a type of d = 2 exceeds the cap
         path = tmp_path / "cache.json"
         monkeypatch.setattr(indicator, "_MEMO", {})
-        monkeypatch.setattr(indicator, "BELL_CAP", 2)
+        monkeypatch.setattr(indicator, "PATH_VERTEX_CAP", 2)
         replaced = []
         real_replace = os.replace
         monkeypatch.setattr(os, "replace", lambda a, b: (replaced.append(b), real_replace(a, b)))
         code, _, err = run(capsys, "verify", "exc", "--nmax", "3", "-d", "2", "--cache", str(path))
-        assert code == 3 and "exceeds the Bell cap 2" in err
+        assert code == 3
+        assert err == "resource limit: type mu=[];nu=[2] has more than 2 path vertices\n"
         assert replaced == [str(path)]
         assert list(json.loads(path.read_text())) == [CyclePathType((), (1,)).key]
 
@@ -764,10 +806,11 @@ class TestDiskCache:
         code, _, _ = run(capsys, "moment", "exc", "-d", "3", "--cache", path)
         assert code == 0
         monkeypatch.setattr(indicator, "_MEMO", {})
-        monkeypatch.setattr(indicator, "BELL_CAP", 3)
+        monkeypatch.setattr(indicator, "PATH_VERTEX_CAP", 3)
         code, out, err = run(capsys, "moment", "exc", "-d", "3", "--cache", path)
         assert code == 3
-        assert out == "" and "exceeds the Bell cap 3" in err
+        assert out == ""
+        assert err == "resource limit: type mu=[];nu=[1,1] has more than 3 path vertices\n"
 
     @pytest.mark.parametrize(
         "content",
@@ -935,11 +978,13 @@ class TestDiskCache:
         assert path.read_bytes() == content
         assert list(tmp_path.iterdir()) == [path]
 
-    @pytest.mark.parametrize("length", [2000, 20000])
+    @pytest.mark.parametrize("length", ["2000", "20000", "9" * 4300],
+                             ids=["2000", "20000", "4300-nines"])
     def test_long_path_key_exits_3_at_once(self, tmp_path, length):
-        # the cap's message printed Bell(P): Bell(2001) has more digits than
-        # an int converts to a string (a traceback, exit 1), and Bell(20001)
-        # ran for minutes
+        # the message names the type as its key was read, not its count of
+        # path vertices: Bell(2001) was longer than int converts to text (a
+        # traceback, exit 1), Bell(20001) ran for minutes, and the count of
+        # a path of 4300 nines, the longest int reads, has 4301 digits
         path = tmp_path / "cache.json"
         content = f'{{"mu=[];nu=[{length}]": {{"terms": []}}}}'.encode()
         path.write_bytes(content)
@@ -947,25 +992,7 @@ class TestDiskCache:
         done = run_process("moment", "exc", "--cache", str(path), timeout=30)
         assert time.perf_counter() - start < 10
         assert (done.returncode, done.stdout) == (3, "")
-        assert "Traceback" not in done.stderr
-        p = length + 1
         assert done.stderr == (
-            f"resource limit: path-vertex count {p} exceeds the Bell cap 12 "
-            f"(Bell({p}) set partitions)\n"
-        )
-        assert path.read_bytes() == content
-
-    def test_path_count_longer_than_int_prints_exits_3(self, tmp_path):
-        # a path of 4300 nines, the longest int reads: its count of path
-        # vertices has 4301 digits, more than int converts to text, and
-        # printing it was a traceback with exit 1
-        path = tmp_path / "cache.json"
-        content = f'{{"mu=[];nu=[{"9" * 4300}]": {{"terms": []}}}}'.encode()
-        path.write_bytes(content)
-        done = run_process("moment", "exc", "--cache", str(path), timeout=30)
-        assert (done.returncode, done.stdout) == (3, "")
-        assert done.stderr == (
-            "resource limit: path-vertex count above 10^18 exceeds the Bell cap 12 "
-            "(Bell(P) set partitions)\n"
+            f"resource limit: type mu=[];nu=[{length}] has more than 12 path vertices\n"
         )
         assert path.read_bytes() == content

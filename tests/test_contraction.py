@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from cycstat import contraction
 from cycstat.contraction import contract
 from cycstat.partial import CyclePathType, PartialPermutation, component_type
-from cycstat.setpartitions import set_partitions
+from cycstat.indicator import set_partitions
 
 # four disjoint paths on 13 vertices: lengths 4, 3, 1, 1 (in edges)
 THIRTEEN = PartialPermutation(
